@@ -43,15 +43,12 @@ type benchEntry struct {
 	// experiment restricted to one protocol backend); omitted for the
 	// classic whole-experiment entries, so pre-backend baselines stay
 	// comparable entry for entry.
-	Backend string `json:"backend,omitempty"`
-	Workers int    `json:"workers"`
-	// DomainWorkers is the intra-run epoch-scheduler worker count
-	// (harness.Options.DomainWorkers); omitted for serial stepping.
-	DomainWorkers int     `json:"domain_workers,omitempty"`
-	NsPerOp       int64   `json:"ns_per_op"`
-	AllocsPerOp   int64   `json:"allocs_per_op"`
-	BytesPerOp    int64   `json:"bytes_per_op"`
-	SamplesNs     []int64 `json:"samples_ns"`
+	Backend     string  `json:"backend,omitempty"`
+	Workers     int     `json:"workers"`
+	NsPerOp     int64   `json:"ns_per_op"`
+	AllocsPerOp int64   `json:"allocs_per_op"`
+	BytesPerOp  int64   `json:"bytes_per_op"`
+	SamplesNs   []int64 `json:"samples_ns"`
 	// Parallelism is the realized speedup (summed sim time over wall
 	// time) of the last run; present only for Workers > 1.
 	Parallelism float64 `json:"parallelism,omitempty"`
@@ -71,9 +68,9 @@ type benchPreChange struct {
 	Fig18MedianNs    int64   `json:"fig18_median_ns"`
 	Fig18AllocsPerOp int64   `json:"fig18_allocs_per_op"`
 	Fig18BytesPerOp  int64   `json:"fig18_bytes_per_op"`
-	// Multisocket receipts for the domain-scheduler PR: the serial
-	// multisocket experiment measured on the commit before the epoch
-	// scheduler landed, same machine and settings.
+	// Serial multisocket receipts, measured on the commit before the
+	// since-removed intra-run scheduler landed, same machine and
+	// settings; kept so regenerated files carry them forward.
 	MultisocketSamplesNs   []int64 `json:"multisocket_samples_ns,omitempty"`
 	MultisocketMedianNs    int64   `json:"multisocket_median_ns,omitempty"`
 	MultisocketAllocsPerOp int64   `json:"multisocket_allocs_per_op,omitempty"`
@@ -117,10 +114,6 @@ func benchCmd(ctx context.Context, args []string) int {
 	parIDs := fs.String("parallel", "fig18",
 		"comma-separated experiments to additionally benchmark on the parallel engine (\"\" disables)")
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "worker count for the -parallel runs")
-	domIDs := fs.String("domain", "fig18,multisocket",
-		"comma-separated experiments to additionally benchmark under the epoch-barrier domain scheduler (\"\" disables)")
-	domWorkers := fs.String("domain-workers", "2,4",
-		"comma-separated intra-run domain-worker counts for the -domain runs (\"\" disables)")
 	backendsFlag := fs.String("backends", "all",
 		"comma-separated protocol backends to benchmark individually (each a figbackends run restricted to one backend; \"\" disables)")
 	count := fs.Int("count", 3, "runs per benchmark; ns/op is the fastest run")
@@ -159,16 +152,6 @@ func benchCmd(ctx context.Context, args []string) int {
 		fmt.Fprintln(os.Stderr, "bench:", err)
 		return 2
 	}
-	domain, err := benchIDs(*domIDs)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bench:", err)
-		return 2
-	}
-	dwCounts, err := parseWorkerList(*domWorkers)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bench:", err)
-		return 2
-	}
 
 	bf := benchFile{
 		Version:    BenchFileVersion,
@@ -182,7 +165,7 @@ func benchCmd(ctx context.Context, args []string) int {
 			fmt.Fprintln(os.Stderr, "bench: interrupted")
 			return harness.ExitInterrupted
 		}
-		ent, err := measureBest(ctx, id, o, 1, 1, *count)
+		ent, err := measureBest(ctx, id, o, 1, *count)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "bench:", err)
 			return 1
@@ -196,7 +179,7 @@ func benchCmd(ctx context.Context, args []string) int {
 			fmt.Fprintln(os.Stderr, "bench: interrupted")
 			return harness.ExitInterrupted
 		}
-		ent, err := measureBest(ctx, id, o, *workers, 1, *count)
+		ent, err := measureBest(ctx, id, o, *workers, *count)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "bench:", err)
 			return 1
@@ -204,22 +187,6 @@ func benchCmd(ctx context.Context, args []string) int {
 		bf.Results = append(bf.Results, ent)
 		fmt.Printf("%-14s workers=%-2d       %12d ns/op  %9d B/op  %7d allocs/op  %.1fx realized\n",
 			id, ent.Workers, ent.NsPerOp, ent.BytesPerOp, ent.AllocsPerOp, ent.Parallelism)
-	}
-	for _, dw := range dwCounts {
-		for _, id := range domain {
-			if ctx.Err() != nil {
-				fmt.Fprintln(os.Stderr, "bench: interrupted")
-				return harness.ExitInterrupted
-			}
-			ent, err := measureBest(ctx, id, o, 1, dw, *count)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "bench:", err)
-				return 1
-			}
-			bf.Results = append(bf.Results, ent)
-			fmt.Printf("%-14s domain-workers=%-2d %10d ns/op  %9d B/op  %7d allocs/op\n",
-				id, dw, ent.NsPerOp, ent.BytesPerOp, ent.AllocsPerOp)
-		}
 	}
 	if *backendsFlag != "" {
 		bids, err := backend.ParseList(*backendsFlag)
@@ -234,7 +201,7 @@ func benchCmd(ctx context.Context, args []string) int {
 			}
 			bo := o
 			bo.Backends = string(bid)
-			ent, err := measureBest(ctx, "figbackends", bo, 1, 1, *count)
+			ent, err := measureBest(ctx, "figbackends", bo, 1, *count)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "bench:", err)
 				return 1
@@ -250,12 +217,7 @@ func benchCmd(ctx context.Context, args []string) int {
 		}
 	}
 
-	if len(domain) > 0 && len(dwCounts) > 0 && runtime.GOMAXPROCS(0) == 1 {
-		bf.Notes = append(bf.Notes,
-			"domain-worker entries were measured with GOMAXPROCS=1: they show the epoch scheduler's bookkeeping overhead, not a wall-clock speedup; byte-identical output is enforced by the harness serial-equivalence suite")
-	}
-
-	if e := bf.find("fig18", 1, 0); e != nil && bf.PreChange != nil && e.NsPerOp > 0 {
+	if e := bf.find("fig18", 1); e != nil && bf.PreChange != nil && e.NsPerOp > 0 {
 		bf.Fig18ImprovementX = float64(bf.PreChange.Fig18MedianNs) / float64(e.NsPerOp)
 		fmt.Printf("fig18 serial vs pre-change median: %.2fx\n", bf.Fig18ImprovementX)
 	}
@@ -274,7 +236,7 @@ func benchCmd(ctx context.Context, args []string) int {
 	}
 
 	if *compare != "" {
-		if err := compareBench(bf, *compare, *maxRegress); err != nil {
+		if err := compareBench(os.Stdout, bf, *compare, *maxRegress); err != nil {
 			fmt.Fprintln(os.Stderr, "bench:", err)
 			return 1
 		}
@@ -306,32 +268,15 @@ func benchIDs(s string) ([]string, error) {
 	return ids, nil
 }
 
-// parseWorkerList expands a comma-separated list of worker counts;
-// "" is empty.
-func parseWorkerList(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		var n int
-		if _, err := fmt.Sscanf(strings.TrimSpace(f), "%d", &n); err != nil || n < 1 {
-			return nil, fmt.Errorf("bad worker count %q", f)
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
-
 // measureBest measures one experiment count times and keeps the
 // fastest run (accumulating raw samples).
-func measureBest(ctx context.Context, id string, o harness.Options, workers, dw, count int) (benchEntry, error) {
-	ent, err := measure(ctx, id, o, workers, dw)
+func measureBest(ctx context.Context, id string, o harness.Options, workers, count int) (benchEntry, error) {
+	ent, err := measure(ctx, id, o, workers)
 	if err != nil {
 		return benchEntry{}, err
 	}
 	for i := 1; i < count; i++ {
-		more, err := measure(ctx, id, o, workers, dw)
+		more, err := measure(ctx, id, o, workers)
 		if err != nil {
 			return benchEntry{}, err
 		}
@@ -343,19 +288,13 @@ func measureBest(ctx context.Context, id string, o harness.Options, workers, dw,
 // measure runs one experiment under testing.Benchmark. workers == 1
 // measures the serial path (the one the determinism goldens pin);
 // workers > 1 measures the parallel engine and reports its realized
-// parallelism. dw > 1 additionally steps each run under the
-// epoch-barrier domain scheduler (harness.Options.DomainWorkers) —
-// output stays byte-identical, only the stepping schedule changes.
-func measure(ctx context.Context, id string, o harness.Options, workers, dw int) (benchEntry, error) {
+// parallelism.
+func measure(ctx context.Context, id string, o harness.Options, workers int) (benchEntry, error) {
 	e, err := harness.Get(id)
 	if err != nil {
 		return benchEntry{}, err
 	}
 	o.Workers = workers
-	o.DomainWorkers = dw
-	if dw <= 1 {
-		dw = 0 // serial stepping; keep the JSON field omitted
-	}
 	var par float64
 	var runErr error
 	r := testing.Benchmark(func(b *testing.B) {
@@ -377,14 +316,13 @@ func measure(ctx context.Context, id string, o harness.Options, workers, dw int)
 		return benchEntry{}, fmt.Errorf("%s: %w", id, runErr)
 	}
 	return benchEntry{
-		Experiment:    id,
-		Workers:       workers,
-		DomainWorkers: dw,
-		NsPerOp:       r.NsPerOp(),
-		AllocsPerOp:   r.AllocsPerOp(),
-		BytesPerOp:    r.AllocedBytesPerOp(),
-		SamplesNs:     []int64{r.NsPerOp()},
-		Parallelism:   par,
+		Experiment:  id,
+		Workers:     workers,
+		NsPerOp:     r.NsPerOp(),
+		AllocsPerOp: r.AllocsPerOp(),
+		BytesPerOp:  r.AllocedBytesPerOp(),
+		SamplesNs:   []int64{r.NsPerOp()},
+		Parallelism: par,
 	}, nil
 }
 
@@ -401,17 +339,20 @@ func fastest(a, b benchEntry) benchEntry {
 	return a
 }
 
-func (f *benchFile) find(id string, workers, dw int) *benchEntry {
-	return f.findBackend(id, "", workers, dw)
+func (f *benchFile) find(id string, workers int) *benchEntry {
+	return f.findBackend(id, "", workers)
 }
 
-// findBackend locates one entry by its full identity, including the
-// backend tag ("" matches the classic untagged entries, which is what
-// keeps pre-backend baselines comparable).
-func (f *benchFile) findBackend(id, backendID string, workers, dw int) *benchEntry {
+// findBackend locates the first entry with the given identity
+// (experiment, backend tag, workers); "" matches the classic untagged
+// entries, which is what keeps pre-backend baselines comparable. Older
+// files can hold several rows per identity (BENCH_7's intra-run
+// scheduler rows decode as extra workers=1 rows); the first is the
+// serial measurement, so it is the one that counts.
+func (f *benchFile) findBackend(id, backendID string, workers int) *benchEntry {
 	for i := range f.Results {
 		e := &f.Results[i]
-		if e.Experiment == id && e.Backend == backendID && e.Workers == workers && e.DomainWorkers == dw {
+		if e.Experiment == id && e.Backend == backendID && e.Workers == workers {
 			return e
 		}
 	}
@@ -439,11 +380,12 @@ func loadPreChange(path string) *benchPreChange {
 // compareBench gates the serial Fig18 measurement against a baseline
 // file: a regression beyond maxRegress fails the run. Only Fig18 gates
 // — it is the 128-core serial stress benchmark the overhaul targets —
-// but every common entry is reported. A missing baseline fails with
-// ErrBaselineMissing and a schema-version mismatch with
-// ErrBaselineVersion, so CI distinguishes a broken gate setup from a
-// real performance regression.
-func compareBench(cur benchFile, baselinePath string, maxRegress float64) error {
+// but every common entry is reported to w, once per identity (see
+// findBackend for which row of a repeated identity counts). A missing
+// baseline fails with ErrBaselineMissing and a schema-version mismatch
+// with ErrBaselineVersion, so CI distinguishes a broken gate setup from
+// a real performance regression.
+func compareBench(w io.Writer, cur benchFile, baselinePath string, maxRegress float64) error {
 	raw, err := os.ReadFile(baselinePath)
 	if err != nil {
 		return fmt.Errorf("%w: %s: %v", ErrBaselineMissing, baselinePath, err)
@@ -456,21 +398,22 @@ func compareBench(cur benchFile, baselinePath string, maxRegress float64) error 
 		return fmt.Errorf("%w: baseline %s is version %d, this build writes version %d",
 			ErrBaselineVersion, baselinePath, base.Version, cur.Version)
 	}
-	for _, b := range base.Results {
-		if c := cur.findBackend(b.Experiment, b.Backend, b.Workers, b.DomainWorkers); c != nil && b.NsPerOp > 0 {
+	for i := range base.Results {
+		b := &base.Results[i]
+		if base.findBackend(b.Experiment, b.Backend, b.Workers) != b {
+			continue // a later row of an identity already reported
+		}
+		if c := cur.findBackend(b.Experiment, b.Backend, b.Workers); c != nil && b.NsPerOp > 0 {
 			label := fmt.Sprintf("workers=%d", b.Workers)
 			if b.Backend != "" {
 				label = "backend=" + b.Backend + " " + label
 			}
-			if b.DomainWorkers > 0 {
-				label += fmt.Sprintf(" domain-workers=%d", b.DomainWorkers)
-			}
-			fmt.Printf("vs baseline: %-14s %-24s %+.1f%%\n", b.Experiment, label,
+			fmt.Fprintf(w, "vs baseline: %-14s %-24s %+.1f%%\n", b.Experiment, label,
 				100*(float64(c.NsPerOp)/float64(b.NsPerOp)-1))
 		}
 	}
-	b := base.find("fig18", 1, 0)
-	c := cur.find("fig18", 1, 0)
+	b := base.find("fig18", 1)
+	c := cur.find("fig18", 1)
 	if b == nil || c == nil {
 		return fmt.Errorf("comparison needs a serial fig18 entry in both files")
 	}

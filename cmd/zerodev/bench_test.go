@@ -1,8 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -70,14 +72,14 @@ func TestCompareBench(t *testing.T) {
 			name: "baseline lacks serial fig18",
 			baseline: func(t *testing.T) string {
 				bf := benchWith(1_000_000)
-				bf.Results[0].DomainWorkers = 2
+				bf.Results[0].Workers = 2
 				return writeBaseline(t, bf)
 			},
 			wantMsg: "serial fig18 entry",
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			err := compareBench(cur, tc.baseline(t), 0.20)
+			err := compareBench(io.Discard, cur, tc.baseline(t), 0.20)
 			switch {
 			case tc.wantErr != nil:
 				if !errors.Is(err, tc.wantErr) {
@@ -99,20 +101,17 @@ func TestCompareBench(t *testing.T) {
 	}
 }
 
-// TestFindEntry pins that serial and domain-scheduler measurements of
-// the same experiment are distinct rows in the comparison.
+// TestFindEntry pins that lookups match on worker count and that a
+// repeated identity resolves to its first row.
 func TestFindEntry(t *testing.T) {
 	bf := benchFile{Results: []benchEntry{
 		{Experiment: "multisocket", Workers: 1, NsPerOp: 10},
-		{Experiment: "multisocket", Workers: 1, DomainWorkers: 2, NsPerOp: 20},
+		{Experiment: "multisocket", Workers: 1, NsPerOp: 20},
 	}}
-	if e := bf.find("multisocket", 1, 0); e == nil || e.NsPerOp != 10 {
-		t.Fatalf("serial entry = %+v, want ns_per_op 10", e)
+	if e := bf.find("multisocket", 1); e == nil || e.NsPerOp != 10 {
+		t.Fatalf("serial entry = %+v, want the first row (ns_per_op 10)", e)
 	}
-	if e := bf.find("multisocket", 1, 2); e == nil || e.NsPerOp != 20 {
-		t.Fatalf("dw=2 entry = %+v, want ns_per_op 20", e)
-	}
-	if e := bf.find("multisocket", 2, 0); e != nil {
+	if e := bf.find("multisocket", 2); e != nil {
 		t.Fatalf("workers=2 entry = %+v, want nil", e)
 	}
 }
@@ -126,17 +125,75 @@ func TestFindEntryBackendAxis(t *testing.T) {
 		{Experiment: "figbackends", Backend: "zerodev", Workers: 1, NsPerOp: 10},
 		{Experiment: "figbackends", Backend: "dls", Workers: 1, NsPerOp: 20},
 	}}
-	if e := bf.findBackend("figbackends", "dls", 1, 0); e == nil || e.NsPerOp != 20 {
+	if e := bf.findBackend("figbackends", "dls", 1); e == nil || e.NsPerOp != 20 {
 		t.Fatalf("dls entry = %+v, want ns_per_op 20", e)
 	}
-	if e := bf.find("figbackends", 1, 0); e != nil {
+	if e := bf.find("figbackends", 1); e != nil {
 		t.Fatalf("untagged lookup matched a backend-tagged entry: %+v", e)
 	}
 	// A backend-tagged current file still satisfies an old untagged
 	// baseline: the gate's fig18 lookup ignores the new rows.
 	cur := benchWith(1_000_000)
 	cur.Results = append(cur.Results, bf.Results...)
-	if err := compareBench(cur, writeBaseline(t, benchWith(1_000_000)), 0.20); err != nil {
+	if err := compareBench(io.Discard, cur, writeBaseline(t, benchWith(1_000_000)), 0.20); err != nil {
 		t.Fatalf("backend-tagged entries broke comparison against an untagged baseline: %v", err)
+	}
+}
+
+// TestCompareBenchCommittedBaseline runs the gate against the committed
+// BENCH_7.json, which the nightly job compares against. That file holds
+// rows measured under a since-removed intra-run scheduler; they decode
+// as extra fig18/multisocket workers=1 rows after the serial ones. The
+// gate must use the first (serial) fig18 row, 2194190343 ns/op, and
+// report every (experiment, backend, workers) identity exactly once.
+func TestCompareBenchCommittedBaseline(t *testing.T) {
+	const path = "../../BENCH_7.json"
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cur benchFile
+	if err := json.Unmarshal(raw, &cur); err != nil {
+		t.Fatal(err)
+	}
+	if cur.Version != BenchFileVersion {
+		t.Fatalf("%s is version %d, this build writes %d", path, cur.Version, BenchFileVersion)
+	}
+	fig18 := cur.find("fig18", 1)
+	if fig18 == nil || fig18.NsPerOp != 2194190343 {
+		t.Fatalf("serial fig18 row = %+v, want ns_per_op 2194190343", fig18)
+	}
+
+	// 2.60e9 is within 20% of the serial row (limit 2.633e9) but not of
+	// the later 2090205339 row (limit 2.508e9), so passing here proves
+	// the gate read the serial row.
+	fig18.NsPerOp = 2_600_000_000
+	var out bytes.Buffer
+	if err := compareBench(&out, cur, path, 0.20); err != nil {
+		t.Fatalf("gate against the serial row: %v", err)
+	}
+	fig18.NsPerOp = 2_640_000_000
+	if err := compareBench(io.Discard, cur, path, 0.20); err == nil || !strings.Contains(err.Error(), "2194190343") {
+		t.Fatalf("err = %v, want a fig18 regression against baseline 2194190343", err)
+	}
+
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	seen := map[string]bool{}
+	for _, l := range lines {
+		f := strings.Fields(l)
+		if len(f) < 4 {
+			t.Fatalf("malformed report line %q", l)
+		}
+		id := strings.Join(f[2:len(f)-1], " ")
+		if seen[id] {
+			t.Fatalf("identity %q reported twice:\n%s", id, out.String())
+		}
+		seen[id] = true
+		if id == "fig18 workers=1" && f[len(f)-1] != "+18.5%" {
+			t.Fatalf("fig18 line %q: want +18.5%% against the serial row", l)
+		}
+	}
+	if !seen["fig18 workers=1"] || len(seen) != 10 {
+		t.Fatalf("reported %d identities, want 10 including fig18:\n%s", len(seen), out.String())
 	}
 }

@@ -85,3 +85,25 @@ func TestRunExperimentGolden(t *testing.T) {
 	}
 	golden(t, "fig4_quick", buf.Bytes())
 }
+
+// TestRunRefusesUnbuildableScale drives `run -scale 128 -quick fig18`:
+// the scale leaves the 32 KB 8-way L1 without a whole set, so the run
+// must exit 2 at validation, before any cell runs, and leave no crash
+// bundle (or any other results/ file) behind.
+func TestRunRefusesUnbuildableScale(t *testing.T) {
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Chdir(wd)
+	if code := runCmd(context.Background(), []string{"-scale", "128", "-quick", "-quiet", "fig18"}); code != 2 {
+		t.Fatalf("exit code = %d, want 2", code)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "results")); !os.IsNotExist(err) {
+		t.Fatalf("refused run left results/ behind (stat err = %v)", err)
+	}
+}

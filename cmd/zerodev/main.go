@@ -127,8 +127,6 @@ func runCmd(ctx context.Context, args []string) int {
 	fs.Uint64Var(&seed, "seed", 1, "workload synthesis seed")
 	fs.BoolVar(&o.Quick, "quick", false, "trim application lists to a representative subset")
 	fs.IntVar(&o.Workers, "workers", o.Workers, "parallel simulation workers (1 = serial; output is identical either way)")
-	fs.IntVar(&o.DomainWorkers, "domain-workers", o.DomainWorkers,
-		"intra-run epoch-scheduler workers per simulation (1 = serial stepping; output is byte-identical either way)")
 	fs.DurationVar(&o.JobTimeout, "job-timeout", 0, "per-simulation watchdog: cancel a job running longer than this, dump diagnostics, record TIMEOUT (0 = off)")
 	ckptPath := fs.String("checkpoint", filepath.Join("results", "checkpoint", "run.json"),
 		"where completed cells are persisted for -resume (\"\" disables checkpointing)")

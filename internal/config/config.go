@@ -15,6 +15,7 @@ import (
 	"fmt"
 
 	"repro/internal/backend"
+	"repro/internal/cache"
 	"repro/internal/coher"
 	"repro/internal/core"
 	"repro/internal/cpu"
@@ -28,6 +29,12 @@ import (
 // ErrTooManyCores is returned by Validate when a preset's core count
 // exceeds what the width-parameterized sharer sets can represent.
 var ErrTooManyCores = errors.New("config: core count exceeds the representable width")
+
+// ErrScaleTooLarge is returned by Validate when a preset's scale divisor
+// shrinks a cache below one set: the L1 or L2 capacity, or an LLC bank's
+// share of the LLC, no longer divides into whole power-of-two sets of
+// its associativity.
+var ErrScaleTooLarge = errors.New("config: scale too large for the cache geometry")
 
 // Preset is a socket's physical organization.
 type Preset struct {
@@ -106,8 +113,9 @@ func wideServer(cores, scale int) Preset {
 }
 
 // Validate rejects a preset whose core count no structure in the system
-// can represent, with a named error so CLI layers can build refusal
-// tables instead of panicking deep inside CoreSet operations.
+// can represent, or whose scaled cache capacities no cache geometry can
+// hold, with named errors so CLI layers can build refusal tables instead
+// of panicking deep inside CoreSet operations or cache construction.
 func (p Preset) Validate() error {
 	if p.Cores <= 0 {
 		return fmt.Errorf("config: preset %q has %d cores", p.Name, p.Cores)
@@ -115,6 +123,22 @@ func (p Preset) Validate() error {
 	if p.Cores > coher.MaxRepresentableCores {
 		return fmt.Errorf("%w: preset %q wants %d cores, the sharer-set width caps at %d",
 			ErrTooManyCores, p.Name, p.Cores, coher.MaxRepresentableCores)
+	}
+	if p.LLCBanks <= 0 || p.LLCBytes%p.LLCBanks != 0 {
+		return fmt.Errorf("%w: preset %q at scale %d: LLC capacity %d not divisible by %d banks",
+			ErrScaleTooLarge, p.Name, p.Scale, p.LLCBytes, p.LLCBanks)
+	}
+	for _, c := range []struct {
+		name        string
+		bytes, ways int
+	}{
+		{"L1", p.CPU.L1Bytes, p.CPU.L1Ways},
+		{"L2", p.CPU.L2Bytes, p.CPU.L2Ways},
+		{"LLC bank", p.LLCBytes / p.LLCBanks, p.LLCWays},
+	} {
+		if _, err := cache.GeometryFor(c.bytes, c.ways, coher.BlockBytes); err != nil {
+			return fmt.Errorf("%w: preset %q at scale %d: %s: %v", ErrScaleTooLarge, p.Name, p.Scale, c.name, err)
+		}
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package config
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/core"
@@ -83,4 +84,26 @@ func TestScaleValidation(t *testing.T) {
 		}
 	}()
 	TableI(3)
+}
+
+// TestPresetValidateGeometry pins where each cache geometry runs out of
+// sets: every preset builds at scale 64, and the L1 (and, further out,
+// the LLC bank split) is refused by name beyond it.
+func TestPresetValidateGeometry(t *testing.T) {
+	for _, p := range []Preset{TableI(64), Server128(64), wideServer(16, 64)} {
+		if err := p.Validate(); err != nil {
+			t.Errorf("%s at scale 64: %v", p.Name, err)
+		}
+	}
+	for _, p := range []Preset{TableI(128), Server128(128), TableI(4096), Server128(4096)} {
+		if err := p.Validate(); !errors.Is(err, ErrScaleTooLarge) {
+			t.Errorf("%s at scale %d: err = %v, want ErrScaleTooLarge", p.Name, p.Scale, err)
+		}
+	}
+	// A preset whose private caches still fit but whose LLC banks do not.
+	p := TableI(64)
+	p.LLCBanks = 3
+	if err := p.Validate(); !errors.Is(err, ErrScaleTooLarge) {
+		t.Errorf("LLC split over 3 banks: err = %v, want ErrScaleTooLarge", err)
+	}
 }

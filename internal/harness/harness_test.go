@@ -2,8 +2,11 @@ package harness
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
+
+	"repro/internal/config"
 )
 
 func tinyOptions() Options {
@@ -91,5 +94,43 @@ func TestGroupUnits(t *testing.T) {
 	streams := pu[0].make(8)
 	if len(streams) != 8 {
 		t.Fatalf("unit produced %d streams", len(streams))
+	}
+}
+
+// TestValidateScale is the -scale refusal table: a scale must be a
+// power of two, and must leave every cache of both presets (TableI and
+// Server128) at least one whole set. 64 is the largest buildable scale
+// (a 32 KB 8-way L1 shrinks to one set); 128 and 4096 are refused with
+// config.ErrScaleTooLarge before any cell runs, instead of panicking
+// inside cache construction in every cell.
+func TestValidateScale(t *testing.T) {
+	for _, tc := range []struct {
+		scale   int
+		wantErr error // nil = accept
+		wantMsg string
+	}{
+		{scale: 1},
+		{scale: 32},
+		{scale: 64},
+		{scale: 0, wantMsg: "power of two"},
+		{scale: 3, wantMsg: "power of two"},
+		{scale: 128, wantErr: config.ErrScaleTooLarge, wantMsg: "-scale 128"},
+		{scale: 4096, wantErr: config.ErrScaleTooLarge, wantMsg: "-scale 4096"},
+	} {
+		o := DefaultOptions()
+		o.Scale = tc.scale
+		err := o.Validate()
+		switch {
+		case tc.wantErr == nil && tc.wantMsg == "":
+			if err != nil {
+				t.Errorf("scale %d: Validate rejected a buildable scale: %v", tc.scale, err)
+			}
+		case err == nil:
+			t.Errorf("scale %d: Validate accepted it", tc.scale)
+		case tc.wantErr != nil && !errors.Is(err, tc.wantErr):
+			t.Errorf("scale %d: err = %v, want errors.Is(err, %v)", tc.scale, err, tc.wantErr)
+		case !strings.Contains(err.Error(), tc.wantMsg):
+			t.Errorf("scale %d: err = %q, want substring %q", tc.scale, err, tc.wantMsg)
+		}
 	}
 }
