@@ -47,6 +47,14 @@ func TestListGolden(t *testing.T) {
 	golden(t, "list", buf.Bytes())
 }
 
+// TestUsageGolden pins the usage line, which is built from the same
+// subcommand table realMain dispatches on.
+func TestUsageGolden(t *testing.T) {
+	var buf bytes.Buffer
+	writeUsage(&buf)
+	golden(t, "usage", buf.Bytes())
+}
+
 // TestAuditListGolden pins the `zerodev audit -list` output: the
 // injector kinds, their default rates, and the campaign cells are part
 // of the CLI surface (and of the fault model documented in DESIGN.md).

@@ -10,7 +10,6 @@
 //	zerodev single [-config baseline|zerodev] [-ratio R] [-policy P] <app>
 //	zerodev audit [-faults K,..] [-campaigns C,..] [-backend B,..] [-audit-every N] [-fail-fast] [-job-timeout D] [-resume FILE]
 //	zerodev check [-cores N] [-addrs N] [-depth N] [-policies P,..] [-backends B,..] [-workers N] [-job-timeout D] [-replay FILE] [-list]
-//	zerodev bench [-experiments IDs] [-count N] [-o FILE] [-compare FILE]
 //	zerodev serve [-addr A] [-state FILE] [-lease-ttl D] [-retry-budget N]
 //	zerodev work [-connect URL] [-id NAME] [-poll D]
 //
@@ -19,8 +18,9 @@
 // worker that leases cells from it; killed workers and coordinator
 // restarts recover without losing completed work (see DESIGN.md §10).
 //
-// run, audit, check, and bench accept -cpuprofile/-memprofile FILE and
-// -pprof-http ADDR for performance investigation.
+// run, audit, and check accept -cpuprofile/-memprofile FILE and
+// -pprof-http ADDR for performance investigation; the repo's benchmark
+// is cellbench (see cellbench/NOTES.md).
 //
 // SIGINT/SIGTERM cancels in-flight simulations cooperatively, flushes
 // completed cells to the checkpoint, and exits 130; -resume picks the
@@ -58,9 +58,26 @@ func main() {
 	os.Exit(realMain())
 }
 
+// subcommands is the CLI surface: realMain dispatches on it and usage
+// prints it, so a subcommand and its usage text come and go together.
+var subcommands = []struct {
+	name, args string
+	run        func(ctx context.Context, args []string) int
+}{
+	{"list", "", func(context.Context, []string) int { writeList(os.Stdout); return 0 }},
+	{"run", "[flags] <experiment>...|all", runCmd},
+	{"single", "[flags] <app>", func(_ context.Context, args []string) int { singleCmd(args); return 0 }},
+	{"compare", "[flags] <app>", func(ctx context.Context, args []string) int { compareCmd(ctx, args); return 0 }},
+	{"trace", "[flags]", func(_ context.Context, args []string) int { traceCmd(args); return 0 }},
+	{"audit", "[flags]", auditCmd},
+	{"check", "[flags]", checkCmd},
+	{"serve", "[flags]", serveCmd},
+	{"work", "[flags]", workCmd},
+}
+
 func realMain() int {
 	if len(os.Args) < 2 {
-		usage()
+		writeUsage(os.Stderr)
 		return 2
 	}
 	// One SIGINT/SIGTERM cancels the root context: in-flight simulations
@@ -74,35 +91,13 @@ func realMain() int {
 		<-ctx.Done()
 		stop()
 	}()
-	switch os.Args[1] {
-	case "list":
-		writeList(os.Stdout)
-		return 0
-	case "run":
-		return runCmd(ctx, os.Args[2:])
-	case "single":
-		singleCmd(os.Args[2:])
-		return 0
-	case "audit":
-		return auditCmd(ctx, os.Args[2:])
-	case "trace":
-		traceCmd(os.Args[2:])
-		return 0
-	case "compare":
-		compareCmd(ctx, os.Args[2:])
-		return 0
-	case "check":
-		return checkCmd(ctx, os.Args[2:])
-	case "bench":
-		return benchCmd(ctx, os.Args[2:])
-	case "serve":
-		return serveCmd(ctx, os.Args[2:])
-	case "work":
-		return workCmd(ctx, os.Args[2:])
-	default:
-		usage()
-		return 2
+	for _, c := range subcommands {
+		if c.name == os.Args[1] {
+			return c.run(ctx, os.Args[2:])
+		}
 	}
+	writeUsage(os.Stderr)
+	return 2
 }
 
 func writeList(w io.Writer) {
@@ -113,9 +108,13 @@ func writeList(w io.Writer) {
 	backend.WriteList(w)
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr,
-		"usage: zerodev list | run [flags] <experiment>...|all | single [flags] <app> | compare [flags] <app> | trace [flags] | audit [flags] | check [flags] | bench [flags] | serve [flags] | work [flags]")
+// writeUsage prints the one-line synopsis of every subcommand.
+func writeUsage(w io.Writer) {
+	forms := make([]string, len(subcommands))
+	for i, c := range subcommands {
+		forms[i] = strings.TrimSpace(c.name + " " + c.args)
+	}
+	fmt.Fprintln(w, "usage: zerodev "+strings.Join(forms, " | "))
 }
 
 func runCmd(ctx context.Context, args []string) int {

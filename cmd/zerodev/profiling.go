@@ -11,7 +11,7 @@ import (
 )
 
 // profFlags is the shared profiling surface of the long-running
-// subcommands (run, audit, check, bench). The subcommands return exit
+// subcommands (run, audit, check). The subcommands return exit
 // codes instead of calling os.Exit precisely so the deferred stop can
 // flush these profiles on every path.
 type profFlags struct {

@@ -109,16 +109,15 @@ type CorePort interface {
 // Engine is the per-socket uncore: sparse directory, LLC, interconnect
 // and the coherence state machine gluing them to the home agent.
 type Engine struct {
-	p      Params
-	cores  []CorePort
-	dir    directory.Directory
-	llc    *llc.LLC
-	mesh   *noc.Mesh
-	home   Home
-	stats  Stats
-	faults FaultPort
-	// faultHooks is the optional protocol-aware fault surface, consulted
-	// at the Admit / EvictNoDE / LastHolderGone protocol-dispatch
+	p     Params
+	cores []CorePort
+	dir   directory.Directory
+	llc   *llc.LLC
+	mesh  *noc.Mesh
+	home  Home
+	stats Stats
+	// faultHooks is the optional fault surface, consulted at LLC read
+	// time and at the Admit / EvictNoDE / LastHolderGone protocol-dispatch
 	// boundaries. Nil outside fault campaigns; every consultation is
 	// guarded so ordinary runs stay byte-identical.
 	faultHooks FaultHooks

@@ -16,24 +16,17 @@ import (
 // and last-copy retrieval. DESIGN.md ("Fault model") gives the full
 // fault → recovery-flow map.
 
-// FaultPort is consulted by the engine at LLC read time, once per
-// top-level request that observes a housed directory entry. A true
-// return means the stored encoding suffered an uncorrectable bit flip:
-// the engine retires the entry to home memory (quarantine via the WB_DE
-// flow) and re-reads the LLC, after which the usual no-DE recovery
-// paths serve the request. internal/faults implements it.
-type FaultPort interface {
-	CorruptHousedDE(addr coher.Addr, ent coher.Entry, fused bool) bool
-}
-
-// SetFaultPort installs (or, with nil, removes) the fault injector.
-func (e *Engine) SetFaultPort(f FaultPort) { e.faults = f }
-
-// FaultHooks is the protocol-aware fault surface: the engine consults it
-// at the three core.Protocol dispatch boundaries, so injectors can
-// perturb or observe exactly where a backend's own logic runs. All three
-// hooks are protocol-legal by construction:
+// FaultHooks is the engine's fault surface, implemented by
+// internal/faults. The engine consults it at LLC read time and at the
+// three core.Protocol dispatch boundaries, so injectors can perturb or
+// observe exactly where a backend's own logic runs. Every hook is
+// protocol-legal by construction:
 //
+//   - CorruptHousedDE runs once per top-level request that observes a
+//     housed directory entry. A true return means the stored encoding
+//     suffered an uncorrectable bit flip: the engine retires the entry
+//     to home memory (quarantine via the WB_DE flow) and re-reads the
+//     LLC, after which the usual no-DE recovery paths serve the request.
 //   - AdmitFault wraps the backend's admission charge (phase-priority's
 //     NACK/retry ladder) and returns the charge to apply — a NACK storm
 //     stretches it, a dropped-retry-budget perturbation collapses it.
@@ -46,16 +39,16 @@ func (e *Engine) SetFaultPort(f FaultPort) { e.faults = f }
 // Nil outside fault campaigns; with no hooks installed every path is
 // byte-identical to an ordinary run.
 type FaultHooks interface {
+	CorruptHousedDE(addr coher.Addr, ent coher.Entry, fused bool) bool
 	AdmitFault(t sim.Cycle, addr coher.Addr, charge sim.Cycle) sim.Cycle
 	EvictNoDEFault(t sim.Cycle, c coher.CoreID, addr coher.Addr, state coher.PrivState)
 	LastHolderGoneFault(t sim.Cycle, addr coher.Addr, state coher.PrivState)
 }
 
-// SetFaultHooks installs (or, with nil, removes) the protocol-aware
-// fault surface.
+// SetFaultHooks installs (or, with nil, removes) the fault surface.
 func (e *Engine) SetFaultHooks(h FaultHooks) { e.faultHooks = h }
 
-// maybeCorruptDE gives the fault port a chance to corrupt the housed
+// maybeCorruptDE gives the fault hooks a chance to corrupt the housed
 // directory entry the current request is about to consume. It runs only
 // at top-level request entry — never inside a recovery redispatch — so
 // the engine observes the corruption exactly as it would observe a
@@ -65,11 +58,11 @@ func (e *Engine) SetFaultHooks(h FaultHooks) { e.faultHooks = h }
 func (e *Engine) maybeCorruptDE(t sim.Cycle, addr coher.Addr, v llc.View) llc.View {
 	// Quarantine retires the flipped entry into the block's home-memory
 	// segment, so only backends with WB_DE housing participate.
-	if e.faults == nil || !e.usesHomeSegments || !v.HasDE() {
+	if e.faultHooks == nil || !e.usesHomeSegments || !v.HasDE() {
 		return v
 	}
 	ent := e.llc.Payload(v, v.DEWay).Entry
-	if !e.faults.CorruptHousedDE(addr, ent, v.Fused) {
+	if !e.faultHooks.CorruptHousedDE(addr, ent, v.Fused) {
 		return v
 	}
 	e.stats.FaultQuarantinedDEs++

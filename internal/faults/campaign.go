@@ -247,7 +247,6 @@ func RunCell(ctx context.Context, cfg Config, c Campaign, o harness.Options, idx
 	if c.Sockets <= 1 {
 		spec.WrapHome = func(h core.Home) core.Home { return &chaosHome{Home: h, in: in} }
 		sys := core.NewSystem(spec, workload.Threads(prof, spec.Cores, o.Accesses, o.Scale, o.Seed))
-		sys.Engine.SetFaultPort(in)
 		sys.Engine.SetFaultHooks(in)
 		tg.engines = []*core.Engine{sys.Engine}
 		tg.cores = [][]*cpu.Core{sys.Cores}
@@ -266,7 +265,6 @@ func RunCell(ctx context.Context, cfg Config, c Campaign, o harness.Options, idx
 			return CellResult{Campaign: c}, err
 		}
 		for _, s := range sys.Sockets {
-			s.Engine.SetFaultPort(in)
 			s.Engine.SetFaultHooks(in)
 			tg.engines = append(tg.engines, s.Engine)
 			tg.cores = append(tg.cores, s.Cores)
@@ -348,19 +346,7 @@ func RunCampaigns(ctx context.Context, cfg Config, cells []Campaign, o harness.O
 		Headers: []string{"cell", "backend", "policy", "skts", "app", "steps", "audits",
 			"flips d/m/s", "wbde -/+", "nack-", "storm", "spur", "nk/iv/dv/ep", "getde/corr/last", "verdict"},
 	}
-	p := harness.NewPool(ctx, o.Workers, o.Progress, "audit")
-	p.EnableRecovery(harness.ReplayMeta{
-		Experiment: "audit",
-		Scale:      o.Scale,
-		Accesses:   o.Accesses,
-		Seed:       o.Seed,
-		Workers:    o.Workers,
-		Backends:   o.Backends,
-	}, o.CrashDir, o.Retries)
-	p.EnableWatchdog(o.JobTimeout)
-	if o.Checkpoint != nil {
-		p.EnableCheckpoint(o.Checkpoint, "audit")
-	}
+	p := harness.NewRunPool(ctx, o, "audit")
 
 	run := func(c Campaign, idx int) *harness.Future[CellResult] {
 		return harness.SubmitJob(p, c.Name, func(jctx context.Context) (CellResult, error) {

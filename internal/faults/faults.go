@@ -308,8 +308,8 @@ type targets struct {
 }
 
 // Injector drives every fault kind for one campaign cell. It implements
-// core.FaultPort (DE bit-flips), core.FaultHooks (protocol-dispatch
-// seams: admission perturbation and eviction-boundary observation) and
+// core.FaultHooks (DE bit-flips at LLC read time, admission
+// perturbation and eviction-boundary observation) and
 // socket.ForwardFaults (NACK drops); chaosHome routes WB_DE/PutDE
 // messages through it; perturb injects the step-granular kinds. All
 // methods run on the cell's single simulation goroutine, so no locking
@@ -383,7 +383,7 @@ func (in *Injector) note(k Kind, addr coher.Addr, note string) {
 	in.log = append(in.log, Event{Step: in.step, Kind: k, Addr: addr, Note: note})
 }
 
-// CorruptHousedDE implements core.FaultPort: it flips one random bit of
+// CorruptHousedDE implements core.FaultHooks: it flips one random bit of
 // the entry's spilled encoding (the shared entry serialization of
 // Figs. 9a/11a) and classifies the outcome. Returning true tells the
 // engine ECC caught a changed entry, which quarantines it to home

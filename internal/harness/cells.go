@@ -74,18 +74,8 @@ func (e Experiment) Cells(o Options) ([]CellID, error) {
 // not render tables. The returned error reflects only the selected
 // cells (panics recovered, cancellation propagated).
 func (e Experiment) ExecuteSelected(ctx context.Context, o Options, sel func(CellID) bool, cs *CheckpointState) error {
-	p := NewPool(ctx, o.Workers, o.Progress, e.ID)
-	p.EnableRecovery(ReplayMeta{
-		Experiment: e.ID,
-		Scale:      o.Scale,
-		Accesses:   o.Accesses,
-		Seed:       o.Seed,
-		Quick:      o.Quick,
-		Workers:    o.Workers,
-		Backends:   o.Backends,
-	}, o.CrashDir, o.Retries)
-	p.EnableWatchdog(o.JobTimeout)
-	p.EnableCheckpoint(cs, e.ID)
+	o.Checkpoint = cs
+	p := NewRunPool(ctx, o, e.ID)
 	p.EnableGate(func(seq int, unit string) (bool, error) {
 		return sel(CellID{Scope: e.ID, Seq: seq, Unit: unit}), nil
 	})

@@ -50,9 +50,6 @@ type Options struct {
 	// CrashDir is where replay bundles for panicking jobs are written
 	// ("" disables bundles; panics are still recovered into errors).
 	CrashDir string
-	// Retries is how many extra times a panicking job is re-run before
-	// its failure is recorded. Returned errors are never retried.
-	Retries int
 
 	// Backends selects the protocol backends the backend-axis
 	// experiments (figbackends) sweep, as a comma-separated list of
@@ -91,9 +88,6 @@ func (o Options) Validate() error {
 	}
 	if o.Workers < 1 {
 		return fmt.Errorf("-workers must be at least 1, got %d", o.Workers)
-	}
-	if o.Retries < 0 {
-		return fmt.Errorf("-retries must be non-negative, got %d", o.Retries)
 	}
 	if o.JobTimeout < 0 {
 		return fmt.Errorf("-job-timeout must be non-negative, got %v", o.JobTimeout)

@@ -11,7 +11,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,9 +33,10 @@ import (
 // The engine is also crash-safe and interruptible:
 //
 //   - a job that panics (the protocol stack panics on corruption) is
-//     recovered into a typed *JobError carrying a replay bundle, retried
-//     up to the pool's retry budget, and surfaced through Future.Result
-//     so the experiment renders the cell as ERR;
+//     recovered into a typed *JobError carrying a replay bundle and
+//     surfaced through Future.Result so the experiment renders the cell
+//     as ERR (jobs are seeded and single-threaded, so a panic replays
+//     identically and is never retried);
 //   - every job runs under a context derived from the pool's: when the
 //     pool's context is cancelled (SIGINT/SIGTERM via the CLI), queued
 //     jobs resolve immediately and running simulations abort within
@@ -60,7 +60,6 @@ type Pool struct {
 	label    string
 	progress io.Writer
 
-	retries    int
 	crashDir   string
 	meta       ReplayMeta
 	jobTimeout time.Duration
@@ -104,17 +103,12 @@ func NewPool(ctx context.Context, workers int, progress io.Writer, label string)
 func (p *Pool) Workers() int { return p.workers }
 
 // EnableRecovery arms panic recovery: recovered jobs write a replay
-// bundle into crashDir (when non-empty) stamped with meta, and each
-// panicking job is re-run up to retries extra times before its error is
-// recorded. Without EnableRecovery panics are still converted to
-// *JobError, but no bundle is written and nothing is retried.
-func (p *Pool) EnableRecovery(meta ReplayMeta, crashDir string, retries int) {
-	if retries < 0 {
-		retries = 0
-	}
+// bundle into crashDir (when non-empty) stamped with meta. Without
+// EnableRecovery panics are still converted to *JobError, but no bundle
+// is written.
+func (p *Pool) EnableRecovery(meta ReplayMeta, crashDir string) {
 	p.meta = meta
 	p.crashDir = crashDir
-	p.retries = retries
 }
 
 // EnableWatchdog arms the per-job watchdog: a job still running after d
@@ -184,12 +178,7 @@ type JobError struct {
 	Panic      string // recovered panic value, "" for returned errors
 	Err        error  // the returned error, nil for panics
 	Timeout    bool   // reaped by the watchdog
-	Attempts   int    // executions performed (1 + retries used)
-	ReplayPath string // bundle path of the final attempt, "" when no bundle was written
-	// PriorBundles are the replay-bundle paths of earlier attempts that
-	// also panicked, oldest first, so operators can diff the first crash
-	// against the retry's.
-	PriorBundles []string
+	ReplayPath string // bundle path, "" when no bundle was written
 }
 
 // Error implements error.
@@ -202,12 +191,8 @@ func (e *JobError) Error() string {
 	if name == "" {
 		name = fmt.Sprintf("job %d", e.Seq)
 	}
-	msg := fmt.Sprintf("job %q failed after %d attempt(s): %s", name, e.Attempts, what)
-	switch {
-	case e.ReplayPath != "" && len(e.PriorBundles) > 0:
-		msg += fmt.Sprintf(" (replay bundles, attempts in order: %s, then %s)",
-			strings.Join(e.PriorBundles, ", "), e.ReplayPath)
-	case e.ReplayPath != "":
+	msg := fmt.Sprintf("job %q failed: %s", name, what)
+	if e.ReplayPath != "" {
 		msg += " (replay bundle: " + e.ReplayPath + ")"
 	}
 	return msg
@@ -349,7 +334,7 @@ func SubmitJob[T any](p *Pool, label string, fn func(ctx context.Context) (T, er
 }
 
 // execute runs one job end to end: checkpoint lookup, cancellation
-// check, watchdog supervision, recovery/retries, and the recording of
+// check, watchdog supervision, panic recovery, and the recording of
 // the final result (into the pool's failure list or the checkpoint).
 func execute[T any](p *Pool, label string, seq int, fn func(ctx context.Context) (T, error)) (T, error) {
 	var zero T
@@ -379,7 +364,7 @@ func execute[T any](p *Pool, label string, seq int, fn func(ctx context.Context)
 	if p.gate != nil {
 		if run, gerr := p.gate(seq, label); !run {
 			if gerr != nil {
-				je := &JobError{Meta: p.meta, Unit: label, Seq: seq, Err: gerr, Attempts: 1}
+				je := &JobError{Meta: p.meta, Unit: label, Seq: seq, Err: gerr}
 				p.record(je)
 				return zero, je
 			}
@@ -390,7 +375,7 @@ func execute[T any](p *Pool, label string, seq int, fn func(ctx context.Context)
 	// simulations drain on their own cancellation points, and nothing
 	// new starts.
 	if err := p.ctx.Err(); err != nil {
-		je := &JobError{Meta: p.meta, Unit: label, Seq: seq, Err: err, Attempts: 1}
+		je := &JobError{Meta: p.meta, Unit: label, Seq: seq, Err: err}
 		p.record(je)
 		return zero, je
 	}
@@ -438,7 +423,7 @@ func execute[T any](p *Pool, label string, seq int, fn func(ctx context.Context)
 		je := &JobError{
 			Meta: p.meta, Unit: label, Seq: seq,
 			Err:     fmt.Errorf("%w (%v)", ErrJobTimeout, p.jobTimeout),
-			Timeout: true, Attempts: 1, ReplayPath: bundle,
+			Timeout: true, ReplayPath: bundle,
 		}
 		p.record(je)
 		return zero, je
@@ -451,7 +436,7 @@ func finalize[T any](p *Pool, label string, seq int, val T, err error) (T, error
 	if err != nil {
 		var je *JobError
 		if !errors.As(err, &je) {
-			je = &JobError{Meta: p.meta, Unit: label, Seq: seq, Err: err, Attempts: 1}
+			je = &JobError{Meta: p.meta, Unit: label, Seq: seq, Err: err}
 			err = je
 		}
 		p.record(je)
@@ -481,61 +466,34 @@ func (p *Pool) note(format string, args ...any) {
 	p.mu.Unlock()
 }
 
-// runRecovered executes fn with panic recovery and the pool's retry
-// budget. Only panics are retried: a returned error is deterministic
-// (the same inputs fail the same way), so re-running it wastes time.
-func runRecovered[T any](p *Pool, ctx context.Context, label string, seq int, fn func(ctx context.Context) (T, error)) (T, error) {
-	retries := 0
-	if p != nil {
-		retries = p.retries
-	}
-	var val T
-	var err error
-	var prior []string // bundle paths of earlier panicking attempts
-	for attempt := 0; ; attempt++ {
-		var je *JobError
-		val, err, je = runOnce(p, ctx, label, seq, attempt, fn)
-		if je == nil {
-			if err != nil {
-				we := &JobError{Unit: label, Seq: seq, Err: err, Attempts: attempt + 1}
-				if p != nil {
-					we.Meta = p.meta
-				}
-				err = we
-			}
-			return val, err
-		}
-		err = je
-		if attempt >= retries || ctx.Err() != nil {
-			je.PriorBundles = prior
-			return val, err
-		}
-		if je.ReplayPath != "" {
-			prior = append(prior, je.ReplayPath)
-		}
-	}
-}
-
-// runOnce runs fn once; a panic is recovered into je with its replay
-// bundle written immediately (so even the attempts that will be
-// retried leave an artifact while the state is fresh).
-func runOnce[T any](p *Pool, ctx context.Context, label string, seq, attempt int, fn func(ctx context.Context) (T, error)) (val T, err error, je *JobError) {
+// runRecovered executes fn once, recovering a panic into a *JobError
+// whose replay bundle is written immediately, while the state is fresh.
+// A returned error is wrapped in a *JobError too.
+func runRecovered[T any](p *Pool, ctx context.Context, label string, seq int, fn func(ctx context.Context) (T, error)) (val T, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			je = &JobError{Unit: label, Seq: seq, Panic: fmt.Sprint(r), Attempts: attempt + 1}
+			je := &JobError{Unit: label, Seq: seq, Panic: fmt.Sprint(r)}
 			if p != nil {
 				je.Meta = p.meta
 				je.ReplayPath = p.writeBundle(je, debug.Stack())
 			}
+			err = je
 		}
 	}()
 	val, err = fn(ctx)
-	return
+	if err != nil {
+		je := &JobError{Unit: label, Seq: seq, Err: err}
+		if p != nil {
+			je.Meta = p.meta
+		}
+		err = je
+	}
+	return val, err
 }
 
 // BundleVersion stamps crash and watchdog bundles; bump on incompatible
 // format changes so stale bundles are refused instead of misdecoded.
-const BundleVersion = 1
+const BundleVersion = 2
 
 // replayBundle is the on-disk crash artifact: everything needed to
 // re-run the failed job (the workload and system are pure functions of
@@ -544,11 +502,10 @@ const BundleVersion = 1
 type replayBundle struct {
 	Version int `json:"version"`
 	ReplayMeta
-	Unit    string `json:"unit,omitempty"`
-	Seq     int    `json:"seq"`
-	Attempt int    `json:"attempt"`
-	Panic   string `json:"panic"`
-	Stack   string `json:"stack"`
+	Unit  string `json:"unit,omitempty"`
+	Seq   int    `json:"seq"`
+	Panic string `json:"panic"`
+	Stack string `json:"stack"`
 }
 
 // DecodeBundle reads a crash/watchdog bundle, refusing unknown fields
@@ -602,13 +559,12 @@ func (p *Pool) writeBundle(je *JobError, stack []byte) string {
 	if p.crashDir == "" {
 		return ""
 	}
-	name := p.bundleName(je.Unit, fmt.Sprintf("j%03d_a%d", je.Seq, je.Attempts))
+	name := p.bundleName(je.Unit, fmt.Sprintf("j%03d", je.Seq))
 	b, err := json.MarshalIndent(replayBundle{
 		Version:    BundleVersion,
 		ReplayMeta: p.meta,
 		Unit:       je.Unit,
 		Seq:        je.Seq,
-		Attempt:    je.Attempts,
 		Panic:      je.Panic,
 		Stack:      string(stack),
 	}, "", "  ")
@@ -746,17 +702,39 @@ func (p *Pool) timing() stats.RunTiming {
 	}
 }
 
+// NewRunPool builds the pool a run's jobs execute on: sized by
+// o.Workers, reporting progress to o.Progress under scope, stamping
+// replay bundles (written to o.CrashDir) with scope and o's
+// result-shaping fields, watched by o.JobTimeout, and recording cells
+// into o.Checkpoint under scope when one is armed.
+func NewRunPool(ctx context.Context, o Options, scope string) *Pool {
+	p := NewPool(ctx, o.Workers, o.Progress, scope)
+	p.EnableRecovery(ReplayMeta{
+		Experiment: scope,
+		Scale:      o.Scale,
+		Accesses:   o.Accesses,
+		Seed:       o.Seed,
+		Quick:      o.Quick,
+		Workers:    o.Workers,
+		Backends:   o.Backends,
+	}, o.CrashDir)
+	p.EnableWatchdog(o.JobTimeout)
+	if o.Checkpoint != nil {
+		p.EnableCheckpoint(o.Checkpoint, scope)
+	}
+	return p
+}
+
 // runner returns the experiment-wide pool when Execute installed one,
-// and otherwise a fresh silent pool sized by o.Workers. Experiments call
-// it once per sweep so direct e.Run calls still parallelize.
+// and otherwise a fresh silent, checkpoint-free pool sized by o.Workers.
+// Experiments call it once per sweep so direct e.Run calls still
+// parallelize.
 func (o Options) runner() *Pool {
 	if o.pool != nil {
 		return o.pool
 	}
-	p := NewPool(nil, o.Workers, nil, "")
-	p.EnableRecovery(ReplayMeta{Scale: o.Scale, Accesses: o.Accesses, Seed: o.Seed, Quick: o.Quick, Workers: o.Workers, Backends: o.Backends}, o.CrashDir, o.Retries)
-	p.EnableWatchdog(o.JobTimeout)
-	return p
+	o.Progress, o.Checkpoint = nil, nil
+	return NewRunPool(nil, o, "")
 }
 
 // Execute runs the experiment under ctx with a shared worker pool sized
@@ -769,20 +747,7 @@ func (o Options) runner() *Pool {
 // under the experiment's ID and already-recorded cells are served
 // without re-running.
 func (e Experiment) Execute(ctx context.Context, o Options, w io.Writer) (stats.RunTiming, error) {
-	p := NewPool(ctx, o.Workers, o.Progress, e.ID)
-	p.EnableRecovery(ReplayMeta{
-		Experiment: e.ID,
-		Scale:      o.Scale,
-		Accesses:   o.Accesses,
-		Seed:       o.Seed,
-		Quick:      o.Quick,
-		Workers:    o.Workers,
-		Backends:   o.Backends,
-	}, o.CrashDir, o.Retries)
-	p.EnableWatchdog(o.JobTimeout)
-	if o.Checkpoint != nil {
-		p.EnableCheckpoint(o.Checkpoint, e.ID)
-	}
+	p := NewRunPool(ctx, o, e.ID)
 	o.pool = p
 	start := time.Now()
 	err := e.Run(o, w)

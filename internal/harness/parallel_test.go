@@ -132,7 +132,7 @@ func TestPoolRecoversPanics(t *testing.T) {
 		if !errors.As(err, &je) {
 			t.Fatalf("workers=%d: panic surfaced as %T (%v), want *JobError", workers, err, err)
 		}
-		if je.Unit != "doomed" || !strings.Contains(je.Panic, "injected panic") || je.Attempts != 1 {
+		if je.Unit != "doomed" || !strings.Contains(je.Panic, "injected panic") {
 			t.Fatalf("workers=%d: bad JobError: %+v", workers, je)
 		}
 		fails := p.Failures()
@@ -149,26 +149,27 @@ func TestPoolRecoversPanics(t *testing.T) {
 	}
 }
 
-// TestPoolRetriesPanicsOnly checks the retry budget's asymmetry: a
-// transiently panicking job is re-run until it succeeds, while a job
-// returning an error — deterministic by construction — runs exactly
-// once.
+// TestPoolRetriesPanicsOnly checks that no failure is re-run: a
+// panicking job is recorded on its first run with exactly one replay
+// bundle, and a job returning an error runs once and is recorded.
 func TestPoolRetriesPanicsOnly(t *testing.T) {
+	dir := t.TempDir()
 	p := NewPool(nil, 1, nil, "retry")
-	p.EnableRecovery(ReplayMeta{Experiment: "retry"}, "", 2)
-	attempts := 0
-	f := SubmitJob(p, "flaky", func(context.Context) (int, error) {
-		attempts++
-		if attempts < 3 {
-			panic("transient")
-		}
-		return 42, nil
+	p.EnableRecovery(ReplayMeta{Experiment: "retry"}, dir)
+	runs := 0
+	f := SubmitJob(p, "panicky", func(context.Context) (int, error) {
+		runs++
+		panic("deterministic panic")
 	})
-	if v, err := f.Result(); v != 42 || err != nil {
-		t.Fatalf("flaky job got (%d, %v) after %d attempts", v, err, attempts)
+	var je *JobError
+	if _, err := f.Result(); !errors.As(err, &je) || je.Panic == "" {
+		t.Fatalf("panicking job got %v, want a *JobError carrying the panic", err)
 	}
-	if attempts != 3 {
-		t.Fatalf("flaky job ran %d times, want 3", attempts)
+	if runs != 1 {
+		t.Fatalf("panicking job ran %d times, want 1", runs)
+	}
+	if bundles, _ := filepath.Glob(filepath.Join(dir, "*.json")); len(bundles) != 1 || bundles[0] != je.ReplayPath {
+		t.Fatalf("bundles = %v, want exactly %q", bundles, je.ReplayPath)
 	}
 	calls := 0
 	boom := errors.New("deterministic failure")
@@ -177,10 +178,10 @@ func TestPoolRetriesPanicsOnly(t *testing.T) {
 		t.Fatalf("returned error not propagated: %v", err)
 	}
 	if calls != 1 {
-		t.Fatalf("erroring job retried %d times; returned errors must not be retried", calls)
+		t.Fatalf("erroring job ran %d times, want 1", calls)
 	}
-	if fails := p.Failures(); len(fails) != 1 || fails[0].Unit != "failing" {
-		t.Fatalf("Failures() = %+v (recovered flaky job must not be recorded)", fails)
+	if fails := p.Failures(); len(fails) != 2 || fails[0].Unit != "panicky" || fails[1].Unit != "failing" {
+		t.Fatalf("Failures() = %+v, want the panicking and the erroring job", fails)
 	}
 }
 
@@ -192,14 +193,14 @@ func TestPoolReplayBundles(t *testing.T) {
 	dir := t.TempDir()
 	p := NewPool(nil, 1, nil, "bundle")
 	meta := ReplayMeta{Experiment: "fig9/x", Scale: 8, Accesses: 100, Seed: 3, Workers: 2}
-	p.EnableRecovery(meta, dir, 0)
+	p.EnableRecovery(meta, dir)
 	f := SubmitJob(p, "unit/cfg", func(context.Context) (int, error) { panic("kaboom") })
 	_, err := f.Result()
 	var je *JobError
 	if !errors.As(err, &je) {
 		t.Fatalf("got %T: %v", err, err)
 	}
-	want := filepath.Join(dir, "fig9-x_unit-cfg_j001_a1.json")
+	want := filepath.Join(dir, "fig9-x_unit-cfg_j001.json")
 	if je.ReplayPath != want {
 		t.Fatalf("ReplayPath = %q, want %q", je.ReplayPath, want)
 	}

@@ -232,7 +232,7 @@ func TestWatchdogReapsHungJob(t *testing.T) {
 		workers := workers
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			p := NewPool(context.Background(), workers, NewSyncWriter(&progress), "wd")
-			p.EnableRecovery(ReplayMeta{Experiment: "wd", Seed: 1}, dir, 0)
+			p.EnableRecovery(ReplayMeta{Experiment: "wd", Seed: 1}, dir)
 			p.EnableWatchdog(50 * time.Millisecond)
 			gate := make(chan struct{})
 			defer close(gate)
@@ -559,69 +559,12 @@ func TestVerifyGridRejects(t *testing.T) {
 	})
 }
 
-// TestRetriedPanicNamesEveryBundle: a job that panics on the first
-// attempt and again on the retry must surface BOTH replay-bundle paths
-// in its JobError text, oldest first, so the operator can diff the
-// attempts; both bundles must exist and decode.
-func TestRetriedPanicNamesEveryBundle(t *testing.T) {
-	dir := t.TempDir()
-	p := NewPool(context.Background(), 1, nil, "twice")
-	p.EnableRecovery(ReplayMeta{Experiment: "twice", Seed: 1}, dir, 1)
-	_, err := SubmitJob(p, "boom/unit", func(context.Context) (int, error) {
-		panic("kaboom")
-	}).Result()
-	if err == nil {
-		t.Fatal("twice-panicking job returned nil error")
-	}
-	var je *JobError
-	if !errors.As(err, &je) {
-		t.Fatalf("error %T is not a JobError", err)
-	}
-	if je.Attempts != 2 {
-		t.Fatalf("Attempts = %d, want 2", je.Attempts)
-	}
-	if len(je.PriorBundles) != 1 || je.ReplayPath == "" {
-		t.Fatalf("bundle paths incomplete: prior=%v final=%q", je.PriorBundles, je.ReplayPath)
-	}
-	if je.PriorBundles[0] == je.ReplayPath {
-		t.Fatal("prior and final bundle paths are the same file")
-	}
-	msg := err.Error()
-	if !strings.Contains(msg, "attempts in order") ||
-		!strings.Contains(msg, je.PriorBundles[0]) || !strings.Contains(msg, je.ReplayPath) {
-		t.Fatalf("error text does not name both bundles: %q", msg)
-	}
-	// Oldest first: the first attempt's path precedes the final one.
-	if strings.Index(msg, je.PriorBundles[0]) > strings.Index(msg, je.ReplayPath) {
-		t.Fatalf("bundles out of order in %q", msg)
-	}
-	for _, path := range []string{je.PriorBundles[0], je.ReplayPath} {
-		f, err := os.Open(path)
-		if err != nil {
-			t.Fatalf("bundle missing: %v", err)
-		}
-		meta, derr := DecodeBundle(f)
-		f.Close()
-		if derr != nil || meta.Experiment != "twice" {
-			t.Fatalf("bundle %s does not decode: meta=%+v err=%v", path, meta, derr)
-		}
-	}
-	// A single-attempt panic keeps the old single-bundle phrasing.
-	q := NewPool(context.Background(), 1, nil, "once")
-	q.EnableRecovery(ReplayMeta{Experiment: "once", Seed: 1}, dir, 0)
-	_, err = SubmitJob(q, "boom2", func(context.Context) (int, error) { panic("x") }).Result()
-	if err == nil || !strings.Contains(err.Error(), "replay bundle: ") ||
-		strings.Contains(err.Error(), "attempts in order") {
-		t.Fatalf("single-attempt phrasing regressed: %v", err)
-	}
-}
-
 // TestDecodeBundleRejects covers the replay-bundle codec's refusals.
 func TestDecodeBundleRejects(t *testing.T) {
 	valid, err := json.Marshal(replayBundle{
 		Version:    BundleVersion,
 		ReplayMeta: ReplayMeta{Experiment: "fig9", Scale: 8, Accesses: 100, Seed: 3, Workers: 2, Backends: "dls,zerodev"},
-		Unit:       "u", Seq: 1, Attempt: 1, Panic: "x", Stack: "s",
+		Unit:       "u", Seq: 1, Panic: "x", Stack: "s",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -635,16 +578,17 @@ func TestDecodeBundleRejects(t *testing.T) {
 	}
 	// A pre-backend bundle (no "backends" field) still loads: the field
 	// is omitempty on write and simply zero on read.
-	preBackend := `{"version":1,"experiment":"old","scale":8,"accesses":100,"seed":3,"workers":2,"unit":"u","seq":1,"attempt":1,"panic":"p","stack":"s"}`
+	preBackend := `{"version":2,"experiment":"old","scale":8,"accesses":100,"seed":3,"workers":2,"unit":"u","seq":1,"panic":"p","stack":"s"}`
 	meta, err = DecodeBundle(strings.NewReader(preBackend))
 	if err != nil || meta.Experiment != "old" || meta.Backends != "" {
 		t.Fatalf("pre-backend bundle refused: meta=%+v err=%v", meta, err)
 	}
 	cases := []struct{ name, in, want string }{
 		{"garbage", "nope", "not a replay bundle"},
-		{"version", `{"version":9,"experiment":"x"}`, "bundle version 9, this build reads 1"},
-		{"unknown-field", `{"version":1,"experiment":"x","scale":1,"accesses":1,"seed":1,"workers":1,"seq":1,"attempt":1,"panic":"p","stack":"s","surprise":true}`, "decoding replay bundle"},
-		{"backends-wrong-type", `{"version":1,"experiment":"x","scale":1,"accesses":1,"seed":1,"workers":1,"backends":7,"seq":1,"attempt":1,"panic":"p","stack":"s"}`, "decoding replay bundle"},
+		{"version", `{"version":9,"experiment":"x"}`, "bundle version 9, this build reads 2"},
+		{"per-attempt-v1", `{"version":1,"experiment":"x","scale":1,"accesses":1,"seed":1,"workers":1,"seq":1,"attempt":1,"panic":"p","stack":"s"}`, "bundle version 1, this build reads 2"},
+		{"unknown-field", `{"version":2,"experiment":"x","scale":1,"accesses":1,"seed":1,"workers":1,"seq":1,"panic":"p","stack":"s","surprise":true}`, "decoding replay bundle"},
+		{"backends-wrong-type", `{"version":2,"experiment":"x","scale":1,"accesses":1,"seed":1,"workers":1,"backends":7,"seq":1,"panic":"p","stack":"s"}`, "decoding replay bundle"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
