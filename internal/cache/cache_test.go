@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -155,48 +156,111 @@ func TestAddrOfRoundTrip(t *testing.T) {
 	}
 }
 
-// Property: the array agrees with a reference map under random
-// insert/lookup/invalidate sequences (victims evicted on conflict).
-func TestArrayMatchesReference(t *testing.T) {
-	f := func(ops []uint16) bool {
-		a := New[uint16](Geometry{Sets: 8, Ways: 2}, LRU)
-		ref := map[uint64]uint16{}
-		for _, op := range ops {
-			addr := uint64(op % 64)
-			switch op % 3 {
-			case 0: // insert
-				set, way, ok := a.Lookup(addr)
-				if !ok {
-					var free bool
-					way, free = a.FreeWay(set)
-					if !free {
-						way = a.Victim(set)
-						delete(ref, a.AddrOf(set, way))
-					}
+// checkOccupancy reports whether the array's validity views agree with
+// ref: CountValid equals the reference size; per set, the valid ways
+// hold exactly the reference blocks mapped there with their payloads;
+// FreeWay is ok exactly when the reference leaves the set short of full
+// and then names its lowest invalid way.
+func checkOccupancy(a *Array[uint16], ref map[uint64]uint16) bool {
+	if a.CountValid() != len(ref) {
+		return false
+	}
+	g := a.Geometry()
+	perSet := make([]int, g.Sets)
+	for addr := range ref {
+		perSet[a.SetIndex(addr)]++
+	}
+	for set := 0; set < g.Sets; set++ {
+		valid, firstFree := 0, -1
+		for way := 0; way < g.Ways; way++ {
+			if !a.Valid(set, way) {
+				if firstFree < 0 {
+					firstFree = way
 				}
-				a.Insert(set, way, addr, op)
-				ref[addr] = op
-			case 1: // lookup
-				set, way, ok := a.Lookup(addr)
-				want, inRef := ref[addr]
-				if ok != inRef {
-					return false
-				}
-				if ok && *a.Payload(set, way) != want {
-					return false
-				}
-			case 2: // invalidate
-				if set, way, ok := a.Lookup(addr); ok {
-					a.Invalidate(set, way)
-					delete(ref, addr)
-				}
+				continue
+			}
+			valid++
+			want, ok := ref[a.AddrOf(set, way)]
+			if !ok || *a.Payload(set, way) != want {
+				return false
 			}
 		}
-		return a.CountValid() == len(ref)
+		if valid != perSet[set] {
+			return false
+		}
+		way, free := a.FreeWay(set)
+		if free != (perSet[set] < g.Ways) || (free && way != firstFree) {
+			return false
+		}
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
+	return true
+}
+
+// Property: the array agrees with a reference map under random
+// insert/lookup/invalidate sequences (victims evicted on conflict),
+// checked after every operation under both replacement policies.
+func TestArrayMatchesReference(t *testing.T) {
+	for _, policy := range []Policy{LRU, NRU} {
+		f := func(ops []uint16) bool {
+			a := New[uint16](Geometry{Sets: 8, Ways: 2}, policy)
+			ref := map[uint64]uint16{}
+			for _, op := range ops {
+				addr := uint64(op % 64)
+				switch op % 3 {
+				case 0: // insert
+					set, way, ok := a.Lookup(addr)
+					if !ok {
+						var free bool
+						way, free = a.FreeWay(set)
+						if !free {
+							way = a.Victim(set)
+							delete(ref, a.AddrOf(set, way))
+						}
+					}
+					a.Insert(set, way, addr, op)
+					ref[addr] = op
+				case 1: // lookup
+					set, way, ok := a.Lookup(addr)
+					want, inRef := ref[addr]
+					if ok != inRef {
+						return false
+					}
+					if ok && *a.Payload(set, way) != want {
+						return false
+					}
+				case 2: // invalidate
+					if set, way, ok := a.Lookup(addr); ok {
+						a.Invalidate(set, way)
+						delete(ref, addr)
+					}
+				}
+				if !checkOccupancy(a, ref) {
+					return false
+				}
+			}
+			return true
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+			t.Fatalf("policy %d: %v", policy, err)
+		}
 	}
+}
+
+// TestInsertRejectsSentinelTag: validity is read from the tag sentinel
+// alone, so a block whose tag equals it would be stored as an invalid
+// way. Insert must refuse it loudly. Only a one-set array (no index
+// bits shifted out of the tag) can produce such a tag.
+func TestInsertRejectsSentinelTag(t *testing.T) {
+	a := New[int](Geometry{Sets: 1, Ways: 2}, LRU)
+	defer func() {
+		if r := recover(); r != sentinelTagPanic {
+			t.Fatalf("Insert of the sentinel tag: recovered %v, want %q", r, sentinelTagPanic)
+		}
+		if a.CountValid() != 0 {
+			t.Fatalf("refused Insert changed the array: %d valid lines", a.CountValid())
+		}
+	}()
+	a.Insert(0, 0, invalidTag, 1)
 }
 
 func TestPayloadPanicsOnInvalid(t *testing.T) {
@@ -207,4 +271,79 @@ func TestPayloadPanicsOnInvalid(t *testing.T) {
 	}()
 	a := New[int](Geometry{Sets: 1, Ways: 1}, LRU)
 	a.Payload(0, 0)
+}
+
+// benchPolicies names the replacement policies every Array benchmark
+// runs under.
+var benchPolicies = []struct {
+	name   string
+	policy Policy
+}{{"LRU", LRU}, {"NRU", NRU}}
+
+// benchArray returns a full 64-set, 16-way array (the LLC bank shape)
+// whose blocks are 0..1023, every line touched once.
+func benchArray(policy Policy) *Array[uint64] {
+	a := New[uint64](Geometry{Sets: 64, Ways: 16}, policy)
+	for addr := uint64(0); addr < 64*16; addr++ {
+		set := a.SetIndex(addr)
+		way, _ := a.FreeWay(set)
+		a.Insert(set, way, addr, addr)
+	}
+	return a
+}
+
+var benchSink int
+
+// BenchmarkArrayLookup probes a full array; half the probes hit.
+func BenchmarkArrayLookup(b *testing.B) {
+	for _, p := range benchPolicies {
+		b.Run(p.name, func(b *testing.B) {
+			a := benchArray(p.policy)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_, way, _ := a.Lookup(uint64(i & 2047))
+				benchSink += way
+			}
+		})
+	}
+}
+
+// BenchmarkArrayVictim chooses a victim in a full set, unfiltered
+// (Victim) and through an eligibility filter (VictimWhere).
+func BenchmarkArrayVictim(b *testing.B) {
+	odd := func(_ int, p *uint64) bool { return *p&1 == 1 }
+	for _, p := range benchPolicies {
+		a := benchArray(p.policy)
+		b.Run(fmt.Sprintf("Victim/%s", p.name), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchSink += a.Victim(i & 63)
+			}
+		})
+		b.Run(fmt.Sprintf("VictimWhere/%s", p.name), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				w, _ := a.VictimWhere(i&63, odd)
+				benchSink += w
+			}
+		})
+	}
+}
+
+// BenchmarkArrayInsert refills a full array: each insert replaces its
+// set's victim, the steady state of every simulated cache.
+func BenchmarkArrayInsert(b *testing.B) {
+	for _, p := range benchPolicies {
+		b.Run(p.name, func(b *testing.B) {
+			a := benchArray(p.policy)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				addr := uint64(1024 + i&4095)
+				set := a.SetIndex(addr)
+				a.Insert(set, a.Victim(set), addr, addr)
+			}
+		})
+	}
 }

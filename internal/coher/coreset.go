@@ -2,20 +2,29 @@ package coher
 
 import (
 	"math/bits"
+	"slices"
 	"strings"
+	"unsafe"
 )
 
 // CoreSet is a width-parameterized sharer bit-vector. Cores 0..127 live
 // in two inline words, so every configuration the paper evaluates
 // (≤128 cores per socket) is tracked with zero heap allocation and the
 // exact representation the original fixed-width set used. Members ≥128
-// spill into ext, an immutable extension array of 64-bit words.
+// spill into ext, an immutable extension block of 64-bit words.
 //
-// ext is copy-on-write: mutators never write into an existing ext
-// array, they build a fresh one. Entry values are copied freely
-// throughout the engine (`next := ent; next.Sharers.Add(c)`), and the
-// COW discipline makes those copies behave like independent values even
-// though the slice header is shared at copy time.
+// ext points at a single heap allocation: a length word followed by
+// that many extension words (cores 128+, low word first). A pointer
+// rather than a slice header keeps CoreSet at 24 bytes, and with it
+// coher.Entry at 32 and every LLC way's payload at 40 — every LLC way
+// carries an Entry, data lines included. Only this file reads the
+// block, through extWords.
+//
+// ext is copy-on-write: mutators never write into an existing block,
+// they build a fresh one with exactly one allocation. Entry values are
+// copied freely throughout the engine (`next := ent; next.Sharers.Add(c)`),
+// and the COW discipline makes those copies behave like independent
+// values even though the pointer is shared at copy time.
 //
 // The representation is canonical: ext is nil when no member ≥128
 // exists and never carries trailing zero words, so Equal can compare
@@ -23,56 +32,82 @@ import (
 //
 // The zero value is the empty set.
 type CoreSet struct {
-	w   [2]uint64
-	ext []uint64 // words 2+; immutable once published; no trailing zeros
+	w   [inlineWords]uint64
+	ext *uint64 // length word, then words 2+; immutable once published; no trailing zeros
 }
 
 // inlineWords is how many 64-bit words live inline; core 128 is the
 // first ext-resident member.
 const inlineWords = 2
 
+// newExt allocates a zeroed extension block of n ≥ 1 words in one
+// allocation and returns its header pointer and its words.
+func newExt(n int) (*uint64, []uint64) {
+	block := make([]uint64, n+1)
+	block[0] = uint64(n)
+	return &block[0], block[1:]
+}
+
+// extWords returns the extension words (nil when there are none). The
+// slice aliases the set's immutable block; callers must not write it.
+func (s CoreSet) extWords() []uint64 {
+	if s.ext == nil {
+		return nil
+	}
+	return unsafe.Slice((*uint64)(unsafe.Add(unsafe.Pointer(s.ext), 8)), *s.ext)
+}
+
 // Add inserts core c.
 func (s *CoreSet) Add(c CoreID) {
 	wi := int(c >> 6)
+	bit := uint64(1) << (c & 63)
 	if wi < inlineWords {
-		s.w[wi] |= 1 << (c & 63)
+		s.w[wi] |= bit
 		return
 	}
 	ei := wi - inlineWords
-	if ei < len(s.ext) && s.ext[ei]&(1<<(c&63)) != 0 {
+	old := s.extWords()
+	if ei < len(old) && old[ei]&bit != 0 {
 		return
 	}
-	n := len(s.ext)
-	if ei+1 > n {
-		n = ei + 1
-	}
-	ext := make([]uint64, n)
-	copy(ext, s.ext)
-	ext[ei] |= 1 << (c & 63)
-	s.ext = ext
+	p, ext := newExt(max(len(old), ei+1))
+	copy(ext, old)
+	ext[ei] |= bit
+	s.ext = p
 }
 
 // Remove deletes core c; removing an absent core is a no-op.
 func (s *CoreSet) Remove(c CoreID) {
 	wi := int(c >> 6)
+	bit := uint64(1) << (c & 63)
 	if wi < inlineWords {
-		s.w[wi] &^= 1 << (c & 63)
+		s.w[wi] &^= bit
 		return
 	}
 	ei := wi - inlineWords
-	if ei >= len(s.ext) || s.ext[ei]&(1<<(c&63)) == 0 {
+	old := s.extWords()
+	if ei >= len(old) || old[ei]&bit == 0 {
 		return
 	}
-	ext := make([]uint64, len(s.ext))
-	copy(ext, s.ext)
-	ext[ei] &^= 1 << (c & 63)
-	for len(ext) > 0 && ext[len(ext)-1] == 0 {
-		ext = ext[:len(ext)-1]
+	// The old block has no trailing zeros, so only clearing its top word
+	// can leave some: trim that word and any zero words beneath it.
+	n := len(old)
+	if ei == n-1 && old[ei]&^bit == 0 {
+		n--
+		for n > 0 && old[n-1] == 0 {
+			n--
+		}
 	}
-	if len(ext) == 0 {
-		ext = nil
+	if n == 0 {
+		s.ext = nil
+		return
 	}
-	s.ext = ext
+	p, ext := newExt(n)
+	copy(ext, old[:n])
+	if ei < n {
+		ext[ei] &^= bit
+	}
+	s.ext = p
 }
 
 // Contains reports whether core c is in the set.
@@ -81,14 +116,15 @@ func (s CoreSet) Contains(c CoreID) bool {
 	if wi < inlineWords {
 		return s.w[wi]&(1<<(c&63)) != 0
 	}
+	ext := s.extWords()
 	ei := wi - inlineWords
-	return ei < len(s.ext) && s.ext[ei]&(1<<(c&63)) != 0
+	return ei < len(ext) && ext[ei]&(1<<(c&63)) != 0
 }
 
 // Count returns the number of cores in the set.
 func (s CoreSet) Count() int {
 	n := bits.OnesCount64(s.w[0]) + bits.OnesCount64(s.w[1])
-	for _, w := range s.ext {
+	for _, w := range s.extWords() {
 		n += bits.OnesCount64(w)
 	}
 	return n
@@ -96,7 +132,7 @@ func (s CoreSet) Count() int {
 
 // Empty reports whether the set has no members.
 func (s CoreSet) Empty() bool {
-	return s.w[0] == 0 && s.w[1] == 0 && len(s.ext) == 0
+	return s.w[0] == 0 && s.w[1] == 0 && s.ext == nil
 }
 
 // First returns the lowest-numbered member. It panics on an empty set;
@@ -108,7 +144,7 @@ func (s CoreSet) First() CoreID {
 	if s.w[1] != 0 {
 		return CoreID(64 + bits.TrailingZeros64(s.w[1]))
 	}
-	for ei, w := range s.ext {
+	for ei, w := range s.extWords() {
 		if w != 0 {
 			return CoreID((inlineWords+ei)*64 + bits.TrailingZeros64(w))
 		}
@@ -125,7 +161,7 @@ func (s CoreSet) ForEach(fn func(CoreID)) {
 			w &^= 1 << b
 		}
 	}
-	for ei, w := range s.ext {
+	for ei, w := range s.extWords() {
 		for w != 0 {
 			b := bits.TrailingZeros64(w)
 			fn(CoreID((inlineWords+ei)*64 + b))
@@ -151,15 +187,7 @@ func (s *CoreSet) Clear() {
 // canonical ext representation (nil when empty, no trailing zero words)
 // makes structural comparison exact.
 func (s CoreSet) Equal(o CoreSet) bool {
-	if s.w != o.w || len(s.ext) != len(o.ext) {
-		return false
-	}
-	for i, w := range s.ext {
-		if o.ext[i] != w {
-			return false
-		}
-	}
-	return true
+	return s.w == o.w && slices.Equal(s.extWords(), o.extWords())
 }
 
 // Superset reports whether every member of o is also in s.
@@ -167,10 +195,11 @@ func (s CoreSet) Superset(o CoreSet) bool {
 	if o.w[0]&^s.w[0] != 0 || o.w[1]&^s.w[1] != 0 {
 		return false
 	}
-	for i, w := range o.ext {
+	se := s.extWords()
+	for i, w := range o.extWords() {
 		var sw uint64
-		if i < len(s.ext) {
-			sw = s.ext[i]
+		if i < len(se) {
+			sw = se[i]
 		}
 		if w&^sw != 0 {
 			return false
@@ -195,7 +224,7 @@ func (s *CoreSet) SetWords(lo, hi uint64) {
 // WordCount returns the number of 64-bit words needed to hold the set's
 // highest member (at least the two inline words).
 func (s CoreSet) WordCount() int {
-	return inlineWords + len(s.ext)
+	return inlineWords + len(s.extWords())
 }
 
 // Word returns the i-th 64-bit word of the representation (word 0 holds
@@ -204,8 +233,8 @@ func (s CoreSet) Word(i int) uint64 {
 	if i < inlineWords {
 		return s.w[i]
 	}
-	if ei := i - inlineWords; ei < len(s.ext) {
-		return s.ext[ei]
+	if ext := s.extWords(); i-inlineWords < len(ext) {
+		return ext[i-inlineWords]
 	}
 	return 0
 }
@@ -214,7 +243,7 @@ func (s CoreSet) Word(i int) uint64 {
 // the fingerprint and line encoders. Callers must treat the returned
 // slice as read-only; it aliases the set's immutable storage.
 func (s CoreSet) ExtWords() []uint64 {
-	return s.ext
+	return s.extWords()
 }
 
 // SetFromWords overwrites the representation from a word slice (word 0
@@ -229,22 +258,15 @@ func (s *CoreSet) SetFromWords(words []uint64) {
 	if len(words) > 1 {
 		s.w[1] = words[1]
 	}
-	rest := words[min2int(len(words), inlineWords):]
+	rest := words[min(len(words), inlineWords):]
 	for len(rest) > 0 && rest[len(rest)-1] == 0 {
 		rest = rest[:len(rest)-1]
 	}
 	if len(rest) > 0 {
-		ext := make([]uint64, len(rest))
+		p, ext := newExt(len(rest))
 		copy(ext, rest)
-		s.ext = ext
+		s.ext = p
 	}
-}
-
-func min2int(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // String renders the set as {c0,c3,...} for debugging.

@@ -1,6 +1,7 @@
 package coher
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -183,4 +184,106 @@ func FuzzCoreSetWide(f *testing.F) {
 		}
 		checkAgainstRef(t, s, ref)
 	})
+}
+
+// wideBase returns a set over width cores holding every third core
+// except width-1, so adding width-1 grows the top word and removing 0
+// or 129 rewrites a lower one.
+func wideBase(width int) CoreSet {
+	var s CoreSet
+	for c := 0; c < width-1; c += 3 {
+		s.Add(CoreID(c))
+	}
+	s.Add(129 % CoreID(width))
+	return s
+}
+
+// TestCoreSetWideUpdateAllocatesOnce pins the extension block's layout:
+// an update touching a core ≥128 costs exactly one heap allocation (the
+// length word and the words share it), and one that drops the last wide
+// member frees the block instead of keeping an empty one.
+func TestCoreSetWideUpdateAllocatesOnce(t *testing.T) {
+	base := wideBase(1024)
+	if n := testing.AllocsPerRun(100, func() {
+		s := base
+		s.Add(1023)
+		sinkSet = s
+	}); n != 1 {
+		t.Fatalf("wide Add: %v allocs, want 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		s := base
+		s.Remove(129)
+		sinkSet = s
+	}); n != 1 {
+		t.Fatalf("wide Remove: %v allocs, want 1", n)
+	}
+	var s CoreSet
+	s.Add(5)
+	s.Add(900)
+	s.Remove(900)
+	if s.WordCount() != 2 || len(s.ExtWords()) != 0 || s.Count() != 1 {
+		t.Fatalf("removing the only wide member left %d words (%v)", s.WordCount(), s)
+	}
+	s.Remove(5)
+	if !s.Empty() {
+		t.Fatalf("set %v not Empty", s)
+	}
+}
+
+var (
+	sinkSet  CoreSet
+	sinkBool bool
+)
+
+// benchWidths are the socket widths the CoreSet benchmarks cover: the
+// paper's 16-core socket, the widest all-inline set, and the 1024-core
+// frontier, whose updates take the one-allocation extension path.
+var benchWidths = []int{16, 128, 1024}
+
+func BenchmarkCoreSetAdd(b *testing.B) {
+	for _, width := range benchWidths {
+		b.Run(fmt.Sprintf("%dc", width), func(b *testing.B) {
+			base := wideBase(width)
+			c := CoreID(width - 1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s := base
+				s.Add(c)
+				sinkSet = s
+			}
+		})
+	}
+}
+
+func BenchmarkCoreSetRemove(b *testing.B) {
+	for _, width := range benchWidths {
+		b.Run(fmt.Sprintf("%dc", width), func(b *testing.B) {
+			base := wideBase(width)
+			c := 129 % CoreID(width)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s := base
+				s.Remove(c)
+				sinkSet = s
+			}
+		})
+	}
+}
+
+// BenchmarkCoreSetEqual compares two equal sets built separately, so a
+// wide pair holds distinct extension blocks and compares word by word.
+func BenchmarkCoreSetEqual(b *testing.B) {
+	for _, width := range benchWidths {
+		b.Run(fmt.Sprintf("%dc", width), func(b *testing.B) {
+			x, y := wideBase(width), wideBase(width)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sinkBool = x.Equal(y)
+			}
+		})
+	}
 }

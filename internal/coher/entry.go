@@ -4,16 +4,11 @@ import "fmt"
 
 // Entry is a sparse-directory entry: the stable coherence state and the
 // location(s) of a block that is privately cached by at least one core.
+// The one-byte fields lead so the whole entry packs into 32 bytes.
 type Entry struct {
 	// State is the stable directory state. DirInvalid means the entry is
 	// free (no private copies remain).
 	State DirState
-	// Owner is meaningful only in DirOwned state: the single core holding
-	// the block in M or E.
-	Owner CoreID
-	// Sharers is meaningful only in DirShared state: the read-only copy
-	// holders.
-	Sharers CoreSet
 	// Busy marks a transient/pending transaction (e.g. a forwarded request
 	// awaiting the owner's "busy clear" message).
 	Busy bool
@@ -24,11 +19,17 @@ type Entry struct {
 	// against actual core states before acting on them; at ≤128 cores
 	// the flag is never set.
 	Imprecise bool
+	// Owner is meaningful only in DirOwned state: the single core holding
+	// the block in M or E.
+	Owner CoreID
+	// Sharers is meaningful only in DirShared state: the read-only copy
+	// holders.
+	Sharers CoreSet
 }
 
 // Same reports field-wise equality, including fields the current state
-// makes meaningless. CoreSet's extension storage makes Entry
-// non-comparable with ==; Same is the literal replacement. Use
+// makes meaningless. == would compare CoreSet's extension pointers, not
+// their words, so Same is the literal replacement. Use
 // state-projected comparisons (AppendCanonical) when stale fields must
 // not matter.
 func (e Entry) Same(o Entry) bool {

@@ -4,8 +4,12 @@ import "math/bits"
 
 // SocketSet is a sharer bit-vector over sockets. Socket counts are small
 // (the paper evaluates four; the full-map segment scheme bounds them at
-// ⌊512/(N+1)⌋), so a single word suffices.
+// ⌊512/(N+1)⌋), so a single word suffices and bounds a system at
+// MaxSockets.
 type SocketSet uint64
+
+// MaxSockets is the largest socket count a SocketSet can track.
+const MaxSockets = 64
 
 // Add inserts socket s.
 func (v *SocketSet) Add(s int) { *v |= 1 << s }
@@ -74,10 +78,11 @@ func (s SocketState) String() string {
 }
 
 // SocketEntry is a socket-level directory entry for inter-socket
-// coherence.
+// coherence. SocketSet bounds a system at MaxSockets, so the owner fits
+// a byte and the entry is 16 bytes.
 type SocketEntry struct {
 	State   SocketState
-	Owner   int
+	Owner   uint8
 	Sharers SocketSet
 }
 
@@ -88,7 +93,7 @@ func (e SocketEntry) Holders() SocketSet {
 	switch e.State {
 	case SockOwned:
 		var v SocketSet
-		v.Add(e.Owner)
+		v.Add(int(e.Owner))
 		return v
 	case SockShared, SockCorrupted:
 		return e.Sharers

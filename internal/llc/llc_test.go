@@ -2,6 +2,7 @@ package llc
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/coher"
 )
@@ -232,5 +233,77 @@ func TestDELinesCounterTracksKindCensus(t *testing.T) {
 		checkDELines(t, l)
 		l.DropDE(l.Probe(29))
 		checkDELines(t, l)
+	}
+}
+
+// TestLineStateSizes pins the per-line coherence state. Every LLC way
+// carries a Payload, data lines included, because any way may house a
+// spilled or fused directory entry; every sparse-directory way carries
+// an Entry and every socket directory-cache way a SocketEntry. A field
+// that regrows one of these types is paid once per simulated line, so
+// it must fail here rather than surface only as a heap-bytes regression.
+func TestLineStateSizes(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"coher.CoreSet", unsafe.Sizeof(coher.CoreSet{}), 24},
+		{"coher.Entry", unsafe.Sizeof(coher.Entry{}), 32},
+		{"coher.SocketEntry", unsafe.Sizeof(coher.SocketEntry{}), 16},
+		{"llc.Payload", unsafe.Sizeof(Payload{}), 40},
+	} {
+		if c.got != c.want {
+			t.Errorf("unsafe.Sizeof(%s) = %d, want %d", c.name, c.got, c.want)
+		}
+	}
+}
+
+// benchLLC returns a full 4-bank, 64-set, 16-way spLRU LLC (4096 lines)
+// in which every third data block also has a spilled entry (a quarter
+// of the lines), so Probe takes the two-match path that classifies line
+// kinds.
+func benchLLC() *LLC {
+	l, err := NewGeometry(64, 16, 4, NonInclusive, SpLRU)
+	if err != nil {
+		panic(err)
+	}
+	for a := coher.Addr(0); a < 3072; a++ {
+		l.InsertData(a, false)
+		if a%3 == 0 {
+			l.InsertSpilled(a, shared(coher.CoreID(a&7)))
+		}
+	}
+	return l
+}
+
+var benchView View
+
+// BenchmarkProbe probes a DE-holding LLC; a quarter of the probes miss.
+func BenchmarkProbe(b *testing.B) {
+	l := benchLLC()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchView = l.Probe(coher.Addr(i & 4095))
+	}
+}
+
+// BenchmarkInsertSpilled spills entries into a full DE-holding LLC, each
+// fill evicting its set's LRU line. Under plain LRU a cycle of 8192
+// addresses evicts each spill long before its address recurs, which
+// keeps InsertSpilled's no-resident-DE precondition.
+func BenchmarkInsertSpilled(b *testing.B) {
+	l, err := NewGeometry(64, 16, 4, NonInclusive, LRU)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for a := coher.Addr(0); a < 4096; a++ {
+		l.InsertData(a, false)
+	}
+	e := shared(1, 5)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l.InsertSpilled(coher.Addr(4096+i&8191), e)
 	}
 }

@@ -1,6 +1,7 @@
 package socket
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/coher"
@@ -31,7 +32,7 @@ func newBareSystem(t *testing.T, backing Backing, dirEntries int) *System {
 }
 
 func sockOwned(s int) coher.SocketEntry {
-	return coher.SocketEntry{State: coher.SockOwned, Owner: s}
+	return coher.SocketEntry{State: coher.SockOwned, Owner: uint8(s)}
 }
 
 func TestDirCacheMemoryBackupSurvivesEviction(t *testing.T) {
@@ -43,7 +44,7 @@ func TestDirCacheMemoryBackupSurvivesEviction(t *testing.T) {
 	}
 	for i := 0; i < 9; i++ {
 		e, _ := sys.lookupSocketEntry(0, coher.Addr(i))
-		if e.State != coher.SockOwned || e.Owner != i%2 {
+		if e.State != coher.SockOwned || int(e.Owner) != i%2 {
 			t.Fatalf("entry %d = %+v", i, e)
 		}
 	}
@@ -70,7 +71,7 @@ func TestDirCacheDirEvictBitRoundTrip(t *testing.T) {
 	// Lookups recover every entry, clearing the bit on refill.
 	for i := 0; i < 9; i++ {
 		e, _ := sys.lookupSocketEntry(0, coher.Addr(i))
-		if e.State != coher.SockOwned || e.Owner != i%2 {
+		if e.State != coher.SockOwned || int(e.Owner) != i%2 {
 			t.Fatalf("entry %d = %+v", i, e)
 		}
 	}
@@ -120,5 +121,36 @@ func TestNewValidatesGeometry(t *testing.T) {
 	}
 	if _, err := New(p, spec, streams); err == nil {
 		t.Fatal("non-power-of-two directory cache accepted")
+	}
+}
+
+// TestNewValidatesSocketCount pins the socket-count bound: a socket
+// sharer vector is one 64-bit coher.SocketSet, so a 65th socket would be
+// silently dropped from it and the run would later fail on a block with
+// no holder sockets. New must refuse such counts by name, and the
+// largest legal system must assemble and run clean.
+func TestNewValidatesSocketCount(t *testing.T) {
+	pre := config.TableI(32)
+	spec := pre.ZeroDEV(0, core.FPSS, llc.DataLRU, llc.NonInclusive)
+	spec.Cores = 1
+	for _, tc := range []struct {
+		sockets int
+		ok      bool
+	}{{0, false}, {1, true}, {64, true}, {65, false}} {
+		streams := workload.Threads(workload.MustGet("canneal"), tc.sockets, 200, 32, 1)
+		sys, err := New(DefaultParams(tc.sockets, 2048), spec, streams)
+		if !tc.ok {
+			if !errors.Is(err, ErrSocketCount) {
+				t.Fatalf("%d sockets: err = %v, want ErrSocketCount", tc.sockets, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%d sockets: %v", tc.sockets, err)
+		}
+		sys.Run()
+		if err := sys.CheckInvariants(); err != nil {
+			t.Fatalf("%d sockets: invariants: %v", tc.sockets, err)
+		}
 	}
 }

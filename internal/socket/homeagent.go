@@ -164,7 +164,7 @@ func (h *homeAgent) FetchBlock(t sim.Cycle, s int, addr coher.Addr, exclusive bo
 	switch {
 	case !ent.Live():
 		done := sys.dram.Read(t1, uint64(addr), dram.KindData) + h.inter(home, s)
-		sys.storeSocketEntry(t1, addr, coher.SocketEntry{State: coher.SockOwned, Owner: s})
+		sys.storeSocketEntry(t1, addr, coher.SocketEntry{State: coher.SockOwned, Owner: uint8(s)})
 		return core.FetchResult{Done: done}
 
 	case ent.State == coher.SockShared && !corrupted && !exclusive:
@@ -181,7 +181,7 @@ func (h *homeAgent) FetchBlock(t sim.Cycle, s int, addr coher.Addr, exclusive bo
 				h.invalidateSocket(t1, g, addr)
 			}
 		})
-		sys.storeSocketEntry(t1, addr, coher.SocketEntry{State: coher.SockOwned, Owner: s})
+		sys.storeSocketEntry(t1, addr, coher.SocketEntry{State: coher.SockOwned, Owner: uint8(s)})
 		return core.FetchResult{Done: done}
 
 	default:
@@ -201,7 +201,7 @@ func (h *homeAgent) FetchBlock(t sim.Cycle, s int, addr coher.Addr, exclusive bo
 					h.invalidateSocket(t1, g, addr)
 				}
 			})
-			sys.storeSocketEntry(t1, addr, coher.SocketEntry{State: coher.SockOwned, Owner: s})
+			sys.storeSocketEntry(t1, addr, coher.SocketEntry{State: coher.SockOwned, Owner: uint8(s)})
 			return core.FetchResult{Done: done, ServedBySocket: true}
 		}
 		var next coher.SocketEntry
@@ -342,7 +342,7 @@ func (h *homeAgent) SocketEvict(t sim.Cycle, s int, addr coher.Addr) bool {
 	var next coher.SocketEntry
 	switch ent.State {
 	case coher.SockOwned:
-		if ent.Owner != s {
+		if int(ent.Owner) != s {
 			panic("socket: eviction notice from a non-owner socket")
 		}
 	case coher.SockShared:
@@ -350,7 +350,7 @@ func (h *homeAgent) SocketEvict(t sim.Cycle, s int, addr coher.Addr) bool {
 		next.Sharers.Remove(s)
 		if next.Sharers.Count() == 1 {
 			// Last remaining socket becomes the owner at socket level.
-			next = coher.SocketEntry{State: coher.SockOwned, Owner: next.Sharers.First()}
+			next = coher.SocketEntry{State: coher.SockOwned, Owner: uint8(next.Sharers.First())}
 		} else if next.Sharers.Empty() {
 			next = coher.SocketEntry{}
 		}
@@ -397,7 +397,7 @@ func (h *homeAgent) AcquireExclusive(t sim.Cycle, s int, addr coher.Addr) sim.Cy
 			h.invalidateSocket(t1, g, addr)
 		}
 	})
-	sys.storeSocketEntry(t1, addr, coher.SocketEntry{State: coher.SockOwned, Owner: s})
+	sys.storeSocketEntry(t1, addr, coher.SocketEntry{State: coher.SockOwned, Owner: uint8(s)})
 	return t1 + h.inter(home, s)
 }
 

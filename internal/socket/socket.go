@@ -9,6 +9,7 @@ package socket
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync/atomic"
 
@@ -90,6 +91,11 @@ func DefaultParams(sockets, dirEntries int) Params {
 	}
 }
 
+// ErrSocketCount reports a socket count outside 1..coher.MaxSockets:
+// every socket sharer vector is one 64-bit coher.SocketSet, so a socket
+// numbered 64 or above would be dropped from it.
+var ErrSocketCount = errors.New("socket: socket count out of range")
+
 // Socket is one CMP of the system.
 type Socket struct {
 	Engine *core.Engine
@@ -126,6 +132,9 @@ type System struct {
 // constructor is invoked per socket); streams supplies the reference
 // stream for every core, socket-major.
 func New(p Params, spec core.SystemSpec, streams []cpu.Stream) (*System, error) {
+	if p.Sockets < 1 || p.Sockets > coher.MaxSockets {
+		return nil, fmt.Errorf("%w: %d sockets, want 1..%d", ErrSocketCount, p.Sockets, coher.MaxSockets)
+	}
 	if len(streams) != p.Sockets*spec.Cores {
 		return nil, fmt.Errorf("socket: need %d streams, got %d", p.Sockets*spec.Cores, len(streams))
 	}
