@@ -20,7 +20,7 @@ import (
 // to arbitrary configuration lists.
 //
 //	zerodev compare -configs baseline:1,zerodev:0,zerodev:0.125 canneal
-func compareCmd(ctx context.Context, args []string) {
+func compareCmd(ctx context.Context, args []string) int {
 	fs := flag.NewFlagSet("compare", flag.ExitOnError)
 	scale := fs.Int("scale", 8, "capacity scale divisor")
 	accesses := fs.Int("accesses", 60000, "memory accesses per core")
@@ -31,50 +31,30 @@ func compareCmd(ctx context.Context, args []string) {
 	workers := fs.Int("workers", harness.DefaultOptions().Workers,
 		"parallel simulation workers (1 = serial; output is identical either way)")
 	if err := fs.Parse(args); err != nil {
-		os.Exit(2)
+		return 2
 	}
 	if fs.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "compare: exactly one application name required")
-		os.Exit(2)
+		return 2
 	}
-	if err := (harness.Options{Scale: *scale, Accesses: *accesses, Workers: *workers}).Validate(); err != nil {
+	err := (harness.Options{Scale: *scale, Accesses: *accesses, Workers: *workers}).Validate()
+	var names []string
+	var specs []core.SystemSpec
+	if err == nil {
+		// Parse every config before simulating so flag errors surface
+		// immediately, then submit one independent job per configuration
+		// and collect results in flag order — the printed table is
+		// identical for any worker count.
+		names, specs, err = compareSpecs(config.TableI(*scale), *configs, *mode)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "compare:", err)
-		os.Exit(2)
+		return 2
 	}
 	prof, err := workload.Get(fs.Arg(0))
 	if err != nil {
-		fatal(err)
-	}
-	pre := config.TableI(*scale)
-	lm := map[string]llc.Mode{"noninclusive": llc.NonInclusive, "epd": llc.EPD, "inclusive": llc.Inclusive}[strings.ToLower(*mode)]
-
-	// Parse every config before simulating so flag errors surface
-	// immediately, then submit one independent job per configuration and
-	// collect results in flag order — the printed table is identical for
-	// any worker count.
-	var names []string
-	var specs []core.SystemSpec
-	for _, spec := range strings.Split(*configs, ",") {
-		kind, ratioStr, _ := strings.Cut(strings.TrimSpace(spec), ":")
-		var ratio float64
-		fmt.Sscanf(ratioStr, "%g", &ratio)
-		var sysSpec core.SystemSpec
-		switch strings.ToLower(kind) {
-		case "baseline":
-			sysSpec = pre.Baseline(ratio, lm)
-		case "zerodev":
-			sysSpec = pre.ZeroDEV(ratio, core.FPSS, llc.DataLRU, lm)
-		case "unbounded":
-			sysSpec = pre.Unbounded(lm)
-		case "secdir":
-			sysSpec = pre.SecDir(ratio, lm)
-		case "mgd":
-			sysSpec = pre.MgD(ratio, lm)
-		default:
-			fatal(fmt.Errorf("compare: unknown config kind %q", kind))
-		}
-		names = append(names, spec)
-		specs = append(specs, sysSpec)
+		fmt.Fprintln(os.Stderr, err)
+		return 1
 	}
 	type cfgResult struct {
 		run stats.Run
@@ -104,13 +84,14 @@ func compareCmd(ctx context.Context, args []string) {
 	for _, fut := range futs {
 		res := fut.Wait()
 		if res.err != nil {
-			fatal(res.err)
+			fmt.Fprintln(os.Stderr, res.err)
+			return 1
 		}
 		runs = append(runs, res.run)
 	}
 
 	t := stats.Table{
-		Title:   fmt.Sprintf("%s (%d cores, %d accesses/core, scale %d)", prof.Name, pre.Cores, *accesses, *scale),
+		Title:   fmt.Sprintf("%s (%d cores, %d accesses/core, scale %d)", prof.Name, config.TableI(*scale).Cores, *accesses, *scale),
 		Headers: append([]string{"metric"}, names...),
 	}
 	addRow := func(label string, get func(stats.Run) string) {
@@ -140,4 +121,39 @@ func compareCmd(ctx context.Context, args []string) {
 		return fmt.Sprintf("%d/%d", r.DRAM.Reads, r.DRAM.Writes)
 	})
 	t.Fprint(os.Stdout)
+	return 0
+}
+
+// compareSpecs parses the -configs list under -mode into one system per
+// entry, refusing unknown kinds and modes and malformed ratios.
+func compareSpecs(pre config.Preset, configs, mode string) (names []string, specs []core.SystemSpec, err error) {
+	lm, err := choose("-mode", mode, llcModes)
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, entry := range strings.Split(configs, ",") {
+		kind, ratioStr, _ := strings.Cut(strings.TrimSpace(entry), ":")
+		ratio, err := parseRatio(ratioStr)
+		if err != nil {
+			return nil, nil, fmt.Errorf("config %q: %w", entry, err)
+		}
+		var spec core.SystemSpec
+		switch strings.ToLower(kind) {
+		case "baseline":
+			spec = pre.Baseline(ratio, lm)
+		case "zerodev":
+			spec = pre.ZeroDEV(ratio, core.FPSS, llc.DataLRU, lm)
+		case "unbounded":
+			spec = pre.Unbounded(lm)
+		case "secdir":
+			spec = pre.SecDir(ratio, lm)
+		case "mgd":
+			spec = pre.MgD(ratio, lm)
+		default:
+			return nil, nil, fmt.Errorf("%w: config kind %q (want baseline | zerodev | unbounded | secdir | mgd)", errUnknownChoice, kind)
+		}
+		names = append(names, entry)
+		specs = append(specs, spec)
+	}
+	return names, specs, nil
 }

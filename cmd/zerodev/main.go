@@ -66,8 +66,8 @@ var subcommands = []struct {
 }{
 	{"list", "", func(context.Context, []string) int { writeList(os.Stdout); return 0 }},
 	{"run", "[flags] <experiment>...|all", runCmd},
-	{"single", "[flags] <app>", func(_ context.Context, args []string) int { singleCmd(args); return 0 }},
-	{"compare", "[flags] <app>", func(ctx context.Context, args []string) int { compareCmd(ctx, args); return 0 }},
+	{"single", "[flags] <app>", func(_ context.Context, args []string) int { return singleCmd(args) }},
+	{"compare", "[flags] <app>", compareCmd},
 	{"trace", "[flags]", func(_ context.Context, args []string) int { traceCmd(args); return 0 }},
 	{"audit", "[flags]", auditCmd},
 	{"check", "[flags]", checkCmd},
@@ -271,7 +271,7 @@ func joinErrs(errs []error) error {
 	return errors.Join(errs...)
 }
 
-func singleCmd(args []string) {
+func singleCmd(args []string) int {
 	fs := flag.NewFlagSet("single", flag.ExitOnError)
 	scale := fs.Int("scale", 8, "capacity scale divisor")
 	accesses := fs.Int("accesses", 100000, "memory accesses per core")
@@ -280,36 +280,25 @@ func singleCmd(args []string) {
 	policy := fs.String("policy", "fpss", "spillall | fpss | fuseall")
 	mode := fs.String("mode", "noninclusive", "noninclusive | epd | inclusive")
 	if err := fs.Parse(args); err != nil {
-		os.Exit(2)
+		return 2
 	}
 	if fs.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "single: exactly one application name required")
-		os.Exit(2)
+		return 2
 	}
-	if err := (harness.Options{Scale: *scale, Accesses: *accesses, Workers: 1}).Validate(); err != nil {
+	err := (harness.Options{Scale: *scale, Accesses: *accesses, Workers: 1}).Validate()
+	var spec core.SystemSpec
+	if err == nil {
+		spec, err = singleSpec(config.TableI(*scale), *cfg, *ratio, *policy, *mode)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "single:", err)
-		os.Exit(2)
+		return 2
 	}
 	prof, err := workload.Get(fs.Arg(0))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	pre := config.TableI(*scale)
-	lm := map[string]llc.Mode{"noninclusive": llc.NonInclusive, "epd": llc.EPD, "inclusive": llc.Inclusive}[strings.ToLower(*mode)]
-	pm := map[string]core.DEPolicy{"spillall": core.SpillAll, "fpss": core.FPSS, "fuseall": core.FuseAll}[strings.ToLower(*policy)]
-	var spec core.SystemSpec
-	switch strings.ToLower(*cfg) {
-	case "baseline":
-		r := *ratio
-		if r == 0 {
-			r = 1
-		}
-		spec = pre.Baseline(r, lm)
-	case "unbounded":
-		spec = pre.Unbounded(lm)
-	default:
-		spec = pre.ZeroDEV(*ratio, pm, llc.DataLRU, lm)
+		return 1
 	}
 	streams := workload.Threads(prof, spec.Cores, *accesses, *scale, 1)
 	if prof.Suite == "CPU2017" {
@@ -340,7 +329,36 @@ func singleCmd(args []string) {
 	}
 	if err := sys.Engine.CheckInvariants(); err != nil {
 		fmt.Fprintf(os.Stderr, "INVARIANT VIOLATION: %v\n", err)
-		os.Exit(1)
+		return 1
 	}
 	fmt.Println("invariants: ok")
+	return 0
+}
+
+// singleSpec builds the system single simulates, refusing unknown
+// choices and bad ratios instead of running a default in their place.
+func singleSpec(pre config.Preset, cfg string, ratio float64, policy, mode string) (core.SystemSpec, error) {
+	lm, err := choose("-mode", mode, llcModes)
+	if err != nil {
+		return core.SystemSpec{}, err
+	}
+	pm, err := choose("-policy", policy, dePolicies)
+	if err != nil {
+		return core.SystemSpec{}, err
+	}
+	if err := checkRatio(ratio); err != nil {
+		return core.SystemSpec{}, err
+	}
+	switch strings.ToLower(cfg) {
+	case "baseline":
+		if ratio == 0 {
+			ratio = 1
+		}
+		return pre.Baseline(ratio, lm), nil
+	case "zerodev":
+		return pre.ZeroDEV(ratio, pm, llc.DataLRU, lm), nil
+	case "unbounded":
+		return pre.Unbounded(lm), nil
+	}
+	return core.SystemSpec{}, fmt.Errorf("%w: -config %q (want baseline | unbounded | zerodev)", errUnknownChoice, cfg)
 }

@@ -51,11 +51,12 @@ func (r *RNG) Fork(label uint64) *RNG {
 }
 
 // Zipf draws from a bounded Zipf-like distribution over [0, n) with skew
-// parameter s >= 0. s = 0 degenerates to uniform. Larger s concentrates
+// s. s <= 0 degenerates to uniform (one Intn draw). Larger s concentrates
 // mass on small indices, which workload synthesis uses to create hot sets.
-// The implementation uses inverse-CDF on the approximate continuous
-// distribution, which is accurate enough for locality shaping and requires
-// no per-n precomputation.
+// It inverts the CDF of the continuous density (1+x)^-s on [0, n-1] at
+// one Float64 draw and truncates the result to an index. Zipf evaluates
+// two transcendentals per draw; ZipfGen draws the identical stream for a
+// fixed (n, s) at a fraction of the cost.
 func (r *RNG) Zipf(n int, s float64) int {
 	if n <= 1 {
 		return 0
@@ -65,7 +66,7 @@ func (r *RNG) Zipf(n int, s float64) int {
 	}
 	u := r.Float64()
 	if s == 1 {
-		// CDF ~ ln(1+x)/ln(1+n)
+		// F(x) = ln(1+x)/ln(n)
 		x := math.Exp(u*math.Log(float64(n))) - 1
 		i := int(x)
 		if i >= n {
@@ -73,7 +74,7 @@ func (r *RNG) Zipf(n int, s float64) int {
 		}
 		return i
 	}
-	// CDF ~ (x^(1-s)-1)/(n^(1-s)-1) for s != 1.
+	// F(x) = ((1+x)^(1-s)-1)/(n^(1-s)-1) for s != 1.
 	p := 1 - s
 	x := math.Pow(u*(math.Pow(float64(n), p)-1)+1, 1/p) - 1
 	i := int(x)
@@ -82,67 +83,6 @@ func (r *RNG) Zipf(n int, s float64) int {
 	}
 	if i >= n {
 		i = n - 1
-	}
-	return i
-}
-
-// ZipfGen is RNG.Zipf with the loop-invariant transcendentals hoisted
-// out: for a fixed (n, s), math.Log(n) and math.Pow(n, 1-s) never
-// change, yet computing them dominated every draw. Draw consumes the
-// same single uniform from the RNG and evaluates the identical
-// floating-point expression RNG.Zipf evaluates (same operations on the
-// same rounded intermediates), so for any generator state Draw and Zipf
-// return the same index and leave the stream in the same state —
-// workload synthesis stays bit-identical (TestZipfGenMatchesZipf).
-type ZipfGen struct {
-	n    int
-	s    float64
-	logN float64 // s == 1: ln n
-	powT float64 // s != 1: n^(1-s) - 1
-	invP float64 // s != 1: 1/(1-s)
-}
-
-// NewZipfGen precomputes a sampler equivalent to Zipf(n, s).
-func NewZipfGen(n int, s float64) ZipfGen {
-	z := ZipfGen{n: n, s: s}
-	if n <= 1 || s <= 0 {
-		return z
-	}
-	if s == 1 {
-		z.logN = math.Log(float64(n))
-		return z
-	}
-	p := 1 - s
-	z.powT = math.Pow(float64(n), p) - 1
-	z.invP = 1 / p
-	return z
-}
-
-// Draw returns the next Zipf index, advancing r exactly as Zipf(n, s)
-// would.
-func (z *ZipfGen) Draw(r *RNG) int {
-	if z.n <= 1 {
-		return 0
-	}
-	if z.s <= 0 {
-		return r.Intn(z.n)
-	}
-	u := r.Float64()
-	if z.s == 1 {
-		x := math.Exp(u*z.logN) - 1
-		i := int(x)
-		if i >= z.n {
-			i = z.n - 1
-		}
-		return i
-	}
-	x := math.Pow(u*z.powT+1, z.invP) - 1
-	i := int(x)
-	if i < 0 {
-		i = 0
-	}
-	if i >= z.n {
-		i = z.n - 1
 	}
 	return i
 }

@@ -110,9 +110,37 @@ type gen struct {
 	hasQueued bool
 }
 
+// ZipfKeys returns the four Zipf keys a thread of p draws from at scale:
+// its code, shared, migratory hot-set and private regions.
+func (p Profile) ZipfKeys(scale int) [4]sim.ZipfKey {
+	sharedN := scaleDown(p.SharedBlocks, scale)
+	mig := min(max(sharedN/32, 8), sharedN)
+	return [4]sim.ZipfKey{
+		{N: scaleDown(p.CodeBlocks, scale), S: p.CodeSkew},
+		{N: sharedN, S: p.SharedSkew},
+		{N: mig, S: 0.5},
+		{N: scaleDown(p.PrivateBlocks, scale), S: p.PrivateSkew},
+	}
+}
+
+// samplers hands out one sim.ZipfGen per distinct key within one
+// Threads/Rate/Mix call, so the process-wide table memo is consulted
+// once per key rather than once per thread.
+type samplers map[sim.ZipfKey]sim.ZipfGen
+
+func (m samplers) get(k sim.ZipfKey) sim.ZipfGen {
+	z, ok := m[k]
+	if !ok {
+		z = sim.NewZipfGen(k.N, k.S)
+		m[k] = z
+	}
+	return z
+}
+
 // newGen builds the generator for thread `thread` of process `proc`.
-func newGen(p Profile, proc, thread, accesses, scale int, rng *sim.RNG) *gen {
+func newGen(p Profile, proc, thread, accesses, scale int, rng *sim.RNG, zs samplers) *gen {
 	base := coher.Addr((proc + 1) * processStride)
+	keys := p.ZipfKeys(scale)
 	g := &gen{
 		p:       p,
 		rng:     rng,
@@ -120,9 +148,14 @@ func newGen(p Profile, proc, thread, accesses, scale int, rng *sim.RNG) *gen {
 		codeB:   base + codeOffset,
 		sharedB: base + sharedOffset,
 		privB:   base + privateOffset + coher.Addr(thread*threadStride),
-		codeN:   scaleDown(p.CodeBlocks, scale),
-		sharedN: scaleDown(p.SharedBlocks, scale),
-		privN:   scaleDown(p.PrivateBlocks, scale),
+		codeN:   keys[0].N,
+		sharedN: keys[1].N,
+		migSet:  keys[2].N,
+		privN:   keys[3].N,
+		zCode:   zs.get(keys[0]),
+		zShared: zs.get(keys[1]),
+		zMig:    zs.get(keys[2]),
+		zPriv:   zs.get(keys[3]),
 	}
 	// Region rotations must agree between threads of one process for the
 	// regions they share, so they derive from (profile, process) alone.
@@ -130,17 +163,6 @@ func newGen(p Profile, proc, thread, accesses, scale int, rng *sim.RNG) *gen {
 	g.codeRot = int(procH % uint64(g.codeN))
 	g.sharedRot = int((procH >> 20) % uint64(g.sharedN))
 	g.privRot = int(sim.NewRNG(procH^uint64(thread+1)).Uint64() % uint64(g.privN))
-	g.migSet = g.sharedN / 32
-	if g.migSet < 8 {
-		g.migSet = 8
-	}
-	if g.migSet > g.sharedN {
-		g.migSet = g.sharedN
-	}
-	g.zCode = sim.NewZipfGen(g.codeN, p.CodeSkew)
-	g.zShared = sim.NewZipfGen(g.sharedN, p.SharedSkew)
-	g.zMig = sim.NewZipfGen(g.migSet, 0.5)
-	g.zPriv = sim.NewZipfGen(g.privN, p.PrivateSkew)
 	return g
 }
 
@@ -177,7 +199,9 @@ func (g *gen) Next() (cpu.Access, bool) {
 	default:
 		if g.rng.Bool(g.p.Streaming) {
 			a.Addr = g.privB + g.rot(g.seqPtr, g.privRot, g.privN)
-			g.seqPtr = (g.seqPtr + 1) % g.privN
+			if g.seqPtr++; g.seqPtr == g.privN {
+				g.seqPtr = 0
+			}
 		} else {
 			a.Addr = g.privB + g.rot(g.zPriv.Draw(g.rng), g.privRot, g.privN)
 		}
@@ -191,9 +215,14 @@ func (g *gen) Next() (cpu.Access, bool) {
 }
 
 // rot maps a region-relative Zipf index to a block offset, applying the
-// region rotation.
+// region rotation. Both idx and rotation are below n, so one conditional
+// subtract is the modulus.
 func (g *gen) rot(idx, rotation, n int) coher.Addr {
-	return coher.Addr((idx + rotation) % n)
+	v := idx + rotation
+	if v >= n {
+		v -= n
+	}
+	return coher.Addr(v)
 }
 
 // Threads builds the per-core streams for a multithreaded run of p on n
@@ -201,8 +230,9 @@ func (g *gen) rot(idx, rotation, n int) coher.Addr {
 func Threads(p Profile, n, accessesPerThread, scale int, seed uint64) []cpu.Stream {
 	root := sim.NewRNG(seed ^ hashName(p.Name))
 	out := make([]cpu.Stream, n)
+	zs := samplers{}
 	for t := 0; t < n; t++ {
-		out[t] = newGen(p, 0, t, accessesPerThread, scale, root.Fork(uint64(t)+1))
+		out[t] = newGen(p, 0, t, accessesPerThread, scale, root.Fork(uint64(t)+1), zs)
 	}
 	return out
 }
@@ -212,8 +242,9 @@ func Threads(p Profile, n, accessesPerThread, scale int, seed uint64) []cpu.Stre
 func Rate(p Profile, n, accessesPerCopy, scale int, seed uint64) []cpu.Stream {
 	root := sim.NewRNG(seed ^ hashName(p.Name))
 	out := make([]cpu.Stream, n)
+	zs := samplers{}
 	for i := 0; i < n; i++ {
-		out[i] = newGen(p, i, 0, accessesPerCopy, scale, root.Fork(uint64(i)+1))
+		out[i] = newGen(p, i, 0, accessesPerCopy, scale, root.Fork(uint64(i)+1), zs)
 	}
 	return out
 }
@@ -223,8 +254,9 @@ func Rate(p Profile, n, accessesPerCopy, scale int, seed uint64) []cpu.Stream {
 func Mix(profiles []Profile, accessesPerCopy, scale int, seed uint64) []cpu.Stream {
 	root := sim.NewRNG(seed)
 	out := make([]cpu.Stream, len(profiles))
+	zs := samplers{}
 	for i, p := range profiles {
-		out[i] = newGen(p, i, 0, accessesPerCopy, scale, root.Fork(uint64(i)+1^hashName(p.Name)))
+		out[i] = newGen(p, i, 0, accessesPerCopy, scale, root.Fork(uint64(i)+1^hashName(p.Name)), zs)
 	}
 	return out
 }

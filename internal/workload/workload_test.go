@@ -202,3 +202,29 @@ func TestMigratoryQueuesStores(t *testing.T) {
 		t.Fatal("migratory read-modify-write pairs missing")
 	}
 }
+
+// BenchmarkGenNext measures one thread's stream generator per access at
+// the benchmark grid's scale (32): canneal as threads, freqmine for the
+// migratory read-modify-write path, and mcf as a rate copy. Stream
+// construction is outside the timed loop.
+func BenchmarkGenNext(b *testing.B) {
+	for _, c := range []struct {
+		app  string
+		rate bool
+	}{{"canneal", false}, {"freqmine", false}, {"mcf", true}} {
+		b.Run(c.app, func(b *testing.B) {
+			build := Threads
+			if c.rate {
+				build = Rate
+			}
+			s := build(MustGet(c.app), 8, b.N, 32, 1)[0]
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, ok := s.Next(); !ok {
+					b.Fatal("stream ended early")
+				}
+			}
+		})
+	}
+}
