@@ -5,6 +5,7 @@
 package cache
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 )
@@ -29,6 +30,30 @@ type Geometry struct {
 // Blocks returns the total line count.
 func (g Geometry) Blocks() int { return g.Sets * g.Ways }
 
+// MaxWays is the widest associativity an Array supports: victim
+// selection takes the ways to skip as one 64-bit mask.
+const MaxWays = 64
+
+// ErrTooManyWays is returned (or, by New, panicked with) for a geometry
+// wider than MaxWays.
+var ErrTooManyWays = errors.New("cache: associativity exceeds 64 ways")
+
+// Validate rejects a geometry no Array can hold: a set count that is
+// not a positive power of two (SetIndex masks with Sets-1), or an
+// associativity outside 1..MaxWays.
+func (g Geometry) Validate() error {
+	if g.Ways > MaxWays {
+		return fmt.Errorf("%w: %d ways", ErrTooManyWays, g.Ways)
+	}
+	if g.Ways <= 0 {
+		return fmt.Errorf("cache: non-positive associativity %d", g.Ways)
+	}
+	if g.Sets <= 0 || g.Sets&(g.Sets-1) != 0 {
+		return fmt.Errorf("cache: set count %d is not a positive power of two", g.Sets)
+	}
+	return nil
+}
+
 // GeometryFor derives a geometry from a capacity in bytes, associativity,
 // and line size, validating that the set count is a positive power of two.
 func GeometryFor(capacityBytes, ways, lineBytes int) (Geometry, error) {
@@ -39,14 +64,18 @@ func GeometryFor(capacityBytes, ways, lineBytes int) (Geometry, error) {
 	if blocks*lineBytes != capacityBytes {
 		return Geometry{}, fmt.Errorf("cache: capacity %d not a multiple of line size %d", capacityBytes, lineBytes)
 	}
+	if ways > MaxWays {
+		return Geometry{}, fmt.Errorf("%w: %d ways", ErrTooManyWays, ways)
+	}
 	sets := blocks / ways
 	if sets*ways != blocks {
 		return Geometry{}, fmt.Errorf("cache: %d blocks not divisible by %d ways", blocks, ways)
 	}
-	if sets&(sets-1) != 0 || sets == 0 {
-		return Geometry{}, fmt.Errorf("cache: set count %d is not a positive power of two", sets)
+	g := Geometry{Sets: sets, Ways: ways}
+	if err := g.Validate(); err != nil {
+		return Geometry{}, err
 	}
-	return Geometry{Sets: sets, Ways: ways}, nil
+	return g, nil
 }
 
 // MustGeometry is GeometryFor that panics on error; intended for
@@ -58,6 +87,18 @@ func MustGeometry(capacityBytes, ways, lineBytes int) Geometry {
 	}
 	return g
 }
+
+// An LRU way's eviction priority is lruStale minus its use stamp, with
+// lruDemoted set once the line is demoted, so the victim is simply the
+// way with the highest priority: demoted lines (oldest first) before
+// all others, then the oldest stamp, ties to the lowest way. An invalid
+// way holds 0, below every valid priority (stamps stay far below
+// lruStale), which is also what make leaves in a new array. One compare
+// per way, with no separate demotion or validity arrays to read.
+const (
+	lruDemoted = uint64(1) << 63
+	lruStale   = lruDemoted - 1
+)
 
 // invalidTag marks an invalid way in the tag array, and is the only
 // record of validity. Tag matching is the hottest loop in the simulator,
@@ -73,27 +114,26 @@ const sentinelTagPanic = "cache: Insert of a block whose tag equals the invalid-
 
 // Array is a set-associative array whose lines carry a payload of type T.
 // The zero value is not usable; construct with New. Replacement metadata
-// is allocated for the array's policy only: use and demo under LRU, ref
-// under NRU.
+// is allocated for the array's policy only: key under LRU, ref under
+// NRU.
 type Array[T any] struct {
 	geo      Geometry
 	policy   Policy
 	tagShift uint8    // log2(Sets); Tag is a shift, not a division
 	tags     []uint64 // invalidTag marks an invalid way
-	use      []uint64 // LRU stamps
-	demo     []bool   // LRU demotion marks (preferred victims)
+	prio     []uint64 // LRU eviction priorities (see lruDemoted)
 	ref      []bool   // NRU reference bits
 	data     []T
 	live     []int16 // valid-way count per set (O(1) full-set detection)
 	tick     uint64
 }
 
-// New constructs an empty array. The set count must be a positive power
-// of two: SetIndex has always masked with Sets-1, so this was an
-// implicit requirement of every caller; it is now enforced.
+// New constructs an empty array. It panics with Geometry.Validate's
+// error on a geometry no array can hold; constructors that take
+// caller-supplied geometry validate first and return the error.
 func New[T any](geo Geometry, policy Policy) *Array[T] {
-	if geo.Sets <= 0 || geo.Sets&(geo.Sets-1) != 0 {
-		panic(fmt.Sprintf("cache: set count %d is not a positive power of two", geo.Sets))
+	if err := geo.Validate(); err != nil {
+		panic(err)
 	}
 	n := geo.Blocks()
 	a := &Array[T]{
@@ -106,8 +146,7 @@ func New[T any](geo Geometry, policy Policy) *Array[T] {
 	}
 	switch policy {
 	case LRU:
-		a.use = make([]uint64, n)
-		a.demo = make([]bool, n)
+		a.prio = make([]uint64, n)
 	case NRU:
 		a.ref = make([]bool, n)
 	}
@@ -180,6 +219,20 @@ func (a *Array[T]) FindWay(set int, tag uint64) int {
 	return -1
 }
 
+// WayMask returns the ways of set holding tag as a bit mask (bit w for
+// way w).
+func (a *Array[T]) WayMask(set int, tag uint64) uint64 {
+	base := set * a.geo.Ways
+	tags := a.tags[base : base+a.geo.Ways]
+	var m uint64
+	for w := range tags {
+		if tags[w] == tag {
+			m |= 1 << w
+		}
+	}
+	return m
+}
+
 func (a *Array[T]) idx(set, way int) int { return set*a.geo.Ways + way }
 
 // Lookup finds the way holding blockAddr in its set. It does not update
@@ -210,8 +263,7 @@ func (a *Array[T]) Touch(set, way int) {
 	switch a.policy {
 	case LRU:
 		a.tick++
-		a.use[i] = a.tick
-		a.demo[i] = false
+		a.prio[i] = lruStale - a.tick
 	case NRU:
 		a.ref[i] = true
 	}
@@ -227,7 +279,7 @@ func (a *Array[T]) Demote(set, way int) {
 	i := a.idx(set, way)
 	switch a.policy {
 	case LRU:
-		a.demo[i] = true
+		a.prio[i] |= lruDemoted
 	case NRU:
 		a.ref[i] = false
 	}
@@ -245,95 +297,64 @@ func (a *Array[T]) FreeWay(set int) (way int, ok bool) {
 }
 
 // Victim selects the replacement victim among the valid ways of set.
-// The set must have at least one valid way. The LRU case is an open-coded
-// scan (no eligibility callback) because the LLC allocates through here
-// on every fill that misses a free way.
+// The set must have at least one valid way.
 func (a *Array[T]) Victim(set int) int {
-	if a.policy == LRU {
-		base := set * a.geo.Ways
-		n := a.geo.Ways
-		tags := a.tags[base : base+n]
-		use := a.use[base : base+n]
-		demo := a.demo[base : base+n]
-		best := -1
-		bestUse := ^uint64(0)
-		bestDemo := false
-		for w := 0; w < n; w++ {
-			if tags[w] != invalidTag && a.older(demo[w], use[w], bestDemo, bestUse) {
-				best, bestUse, bestDemo = w, use[w], demo[w]
-			}
-		}
-		if best < 0 {
-			panic("cache: Victim on set with no valid ways")
-		}
-		return best
-	}
-	w, ok := a.VictimWhere(set, func(int, *T) bool { return true })
+	w, ok := a.VictimExcept(set, 0)
 	if !ok {
 		panic("cache: Victim on set with no valid ways")
 	}
 	return w
 }
 
-// older reports whether a line with (demoted, use) is victimized before
-// one with (bestDemoted, bestUse): demoted lines first, then oldest use
-// stamp. Strict comparison keeps the lowest-way tie-break of the
-// callers' ascending scans.
-func (a *Array[T]) older(demo bool, use uint64, bestDemo bool, bestUse uint64) bool {
-	if demo != bestDemo {
-		return demo
-	}
-	return use < bestUse
-}
-
-// VictimWhere selects the replacement victim among valid ways satisfying
-// eligible. Under LRU it is the eligible way with the oldest use stamp,
-// demoted lines before all others; under NRU it is the first eligible
-// way with a clear reference bit, clearing all bits first when every
-// eligible way is referenced. The payload pointer passed to eligible is
-// valid only for the duration of the call.
-func (a *Array[T]) VictimWhere(set int, eligible func(way int, payload *T) bool) (way int, ok bool) {
+// VictimExcept selects the replacement victim among the valid ways of
+// set whose bit in skip is clear (bit w for way w). Under LRU it is the
+// eligible way with the oldest use stamp, demoted lines before all
+// others; under NRU it is the first eligible way with a clear reference
+// bit, clearing the eligible ways' bits first when every eligible way
+// is referenced. ok is false when no way is eligible. The scan is one
+// typed loop over the set's metadata, with no per-way calls.
+func (a *Array[T]) VictimExcept(set int, skip uint64) (way int, ok bool) {
 	base := set * a.geo.Ways
+	n := a.geo.Ways
+	tags := a.tags[base : base+n]
 	switch a.policy {
 	case LRU:
-		n := a.geo.Ways
-		tags := a.tags[base : base+n]
-		use := a.use[base : base+n]
-		demo := a.demo[base : base+n]
-		best := -1
-		bestUse := ^uint64(0)
-		bestDemo := false
-		for w := 0; w < n; w++ {
-			if tags[w] != invalidTag && eligible(w, &a.data[base+w]) && a.older(demo[w], use[w], bestDemo, bestUse) {
-				best, bestUse, bestDemo = w, use[w], demo[w]
+		// Strict comparison keeps the lowest-way tie-break, and an invalid
+		// way's 0 never beats the initial bound.
+		best, bestPrio := -1, uint64(0)
+		for w, p := range a.prio[base : base+n] {
+			if p > bestPrio && skip&(1<<w) == 0 {
+				best, bestPrio = w, p
 			}
 		}
 		return best, best >= 0
 	case NRU:
+		ref := a.ref[base : base+n]
 		any := false
-		for pass := 0; pass < 2; pass++ {
-			for w := 0; w < a.geo.Ways; w++ {
-				i := base + w
-				if a.tags[i] == invalidTag || !eligible(w, &a.data[i]) {
-					continue
-				}
-				any = true
-				if !a.ref[i] {
-					return w, true
-				}
+		for w := 0; w < n; w++ {
+			if tags[w] == invalidTag || skip&(1<<w) != 0 {
+				continue
 			}
-			if !any {
-				return -1, false
+			if !ref[w] {
+				return w, true
 			}
-			// All eligible ways referenced: clear and rescan.
-			for w := 0; w < a.geo.Ways; w++ {
-				i := base + w
-				if a.tags[i] != invalidTag && eligible(w, &a.data[i]) {
-					a.ref[i] = false
+			any = true
+		}
+		if !any {
+			return -1, false
+		}
+		// Every eligible way is referenced: clear their bits (and only
+		// theirs) and take the first eligible way.
+		first := -1
+		for w := 0; w < n; w++ {
+			if tags[w] != invalidTag && skip&(1<<w) == 0 {
+				ref[w] = false
+				if first < 0 {
+					first = w
 				}
 			}
 		}
-		return -1, false
+		return first, true
 	}
 	return -1, false
 }
@@ -367,8 +388,7 @@ func (a *Array[T]) Invalidate(set, way int) {
 	a.data[i] = zero
 	switch a.policy {
 	case LRU:
-		a.use[i] = 0
-		a.demo[i] = false
+		a.prio[i] = 0
 	case NRU:
 		a.ref[i] = false
 	}
@@ -431,7 +451,7 @@ func (a *Array[T]) AppendState(buf []byte, enc func([]byte, *T) []byte) []byte {
 			switch a.policy {
 			case LRU:
 				rank := byte(a.recencyRank(set, w))
-				if a.demo[i] {
+				if a.prio[i]&lruDemoted != 0 {
 					// The demotion mark outlives the current victim order (it
 					// steers victim choice until the line is touched), so it is
 					// protocol-visible state beyond the rank.
@@ -457,25 +477,18 @@ func (a *Array[T]) AppendState(buf []byte, enc func([]byte, *T) []byte) []byte {
 // recencyRank counts the valid ways of set that the LRU policy would
 // victimize before (set, way): demoted before non-demoted, then
 // strictly older stamps, then equal stamps at a lower way index (Victim
-// breaks ties toward low ways). O(ways²) per set, fine at
-// fingerprinting scale.
+// breaks ties toward low ways) — that is, higher priorities, then
+// equal priorities at a lower way. O(ways²) per set, fine at fingerprinting scale.
 func (a *Array[T]) recencyRank(set, way int) int {
 	base := set * a.geo.Ways
-	self := a.use[base+way]
-	selfDemo := a.demo[base+way]
+	self := a.prio[base+way]
 	rank := 0
 	for w := 0; w < a.geo.Ways; w++ {
 		i := base + w
 		if w == way || a.tags[i] == invalidTag {
 			continue
 		}
-		if a.demo[i] != selfDemo {
-			if a.demo[i] {
-				rank++
-			}
-			continue
-		}
-		if u := a.use[i]; u < self || (u == self && w < way) {
+		if p := a.prio[i]; p > self || (p == self && w < way) {
 			rank++
 		}
 	}

@@ -1,7 +1,9 @@
 package cache
 
 import (
+	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -24,6 +26,45 @@ func TestGeometryFor(t *testing.T) {
 		if _, err := GeometryFor(b[0], b[1], b[2]); err == nil {
 			t.Fatalf("GeometryFor(%v) accepted", b)
 		}
+	}
+}
+
+// TestGeometryWaysLimit pins the associativity bound: victim selection
+// takes its skip set as one 64-bit mask, so 64 ways is the widest
+// geometry and a 65th way is refused by name, not silently ignored.
+func TestGeometryWaysLimit(t *testing.T) {
+	for _, tc := range []struct {
+		ways int
+		ok   bool
+	}{{64, true}, {65, false}} {
+		_, err := GeometryFor(tc.ways*64*4, tc.ways, 64)
+		if (err == nil) != tc.ok || (!tc.ok && !errors.Is(err, ErrTooManyWays)) {
+			t.Errorf("GeometryFor with %d ways: err = %v", tc.ways, err)
+		}
+		g := Geometry{Sets: 4, Ways: tc.ways}
+		if err := g.Validate(); (err == nil) != tc.ok || (!tc.ok && !errors.Is(err, ErrTooManyWays)) {
+			t.Errorf("Validate with %d ways: err = %v", tc.ways, err)
+		}
+		func() {
+			defer func() {
+				r := recover()
+				err, _ := r.(error)
+				if (r == nil) != tc.ok || (!tc.ok && !errors.Is(err, ErrTooManyWays)) {
+					t.Errorf("New with %d ways: panic = %v", tc.ways, r)
+				}
+			}()
+			a := New[int](g, LRU)
+			for w := 0; w < tc.ways; w++ {
+				a.Insert(0, w, uint64(w)<<2, w)
+			}
+			a.Touch(0, 0)
+			if v := a.Victim(0); v != 1 {
+				t.Errorf("64-way victim = way %d, want 1", v)
+			}
+			if v, _ := a.VictimExcept(0, ^uint64(0)>>1); v != 63 {
+				t.Errorf("64-way victim skipping ways 0..62 = way %d, want 63", v)
+			}
+		}()
 	}
 }
 
@@ -115,17 +156,22 @@ func TestNRUVictim(t *testing.T) {
 	}
 }
 
-func TestVictimWhere(t *testing.T) {
+func TestVictimExcept(t *testing.T) {
 	a := New[string](Geometry{Sets: 1, Ways: 4}, LRU)
 	kinds := []string{"data", "de", "data", "de"}
 	for i, k := range kinds {
 		a.Insert(0, i, uint64(i), k)
 	}
-	w, ok := a.VictimWhere(0, func(_ int, k *string) bool { return *k == "data" })
+	// Skip the "de" ways 1 and 3.
+	w, ok := a.VictimExcept(0, 0b1010)
 	if !ok || a.AddrOf(0, w) != 0 {
 		t.Fatalf("filtered victim = %v/%v, want block 0", w, ok)
 	}
-	if _, ok := a.VictimWhere(0, func(_ int, k *string) bool { return *k == "none" }); ok {
+	a.Touch(0, 0)
+	if w, ok := a.VictimExcept(0, 0b1010); !ok || w != 2 {
+		t.Fatalf("filtered victim after touching way 0 = %v/%v, want way 2", w, ok)
+	}
+	if _, ok := a.VictimExcept(0, 0b1111); ok {
 		t.Fatal("no eligible way should report ok=false")
 	}
 }
@@ -310,9 +356,8 @@ func BenchmarkArrayLookup(b *testing.B) {
 }
 
 // BenchmarkArrayVictim chooses a victim in a full set, unfiltered
-// (Victim) and through an eligibility filter (VictimWhere).
+// (Victim) and skipping every other way (VictimExcept).
 func BenchmarkArrayVictim(b *testing.B) {
-	odd := func(_ int, p *uint64) bool { return *p&1 == 1 }
 	for _, p := range benchPolicies {
 		a := benchArray(p.policy)
 		b.Run(fmt.Sprintf("Victim/%s", p.name), func(b *testing.B) {
@@ -321,10 +366,10 @@ func BenchmarkArrayVictim(b *testing.B) {
 				benchSink += a.Victim(i & 63)
 			}
 		})
-		b.Run(fmt.Sprintf("VictimWhere/%s", p.name), func(b *testing.B) {
+		b.Run(fmt.Sprintf("VictimExcept/%s", p.name), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				w, _ := a.VictimWhere(i&63, odd)
+				w, _ := a.VictimExcept(i&63, 0x5555)
 				benchSink += w
 			}
 		})
@@ -343,6 +388,134 @@ func BenchmarkArrayInsert(b *testing.B) {
 				addr := uint64(1024 + i&4095)
 				set := a.SetIndex(addr)
 				a.Insert(set, a.Victim(set), addr, addr)
+			}
+		})
+	}
+}
+
+// shadowSet is a test-local model of one set's replacement state, kept
+// in the terms of the predicate-driven victim scan VictimExcept
+// replaced: per way a validity flag, an LRU use stamp and demotion
+// mark, and an NRU reference bit.
+type shadowSet struct {
+	valid, demoted, ref []bool
+	stamp               []uint64
+}
+
+type shadow struct {
+	sets  []shadowSet
+	clock uint64
+}
+
+func newShadow(geo Geometry) *shadow {
+	sh := &shadow{sets: make([]shadowSet, geo.Sets)}
+	for i := range sh.sets {
+		sh.sets[i] = shadowSet{make([]bool, geo.Ways), make([]bool, geo.Ways), make([]bool, geo.Ways), make([]uint64, geo.Ways)}
+	}
+	return sh
+}
+
+func (sh *shadow) touch(set, way int) {
+	s := &sh.sets[set]
+	sh.clock++
+	s.valid[way], s.stamp[way], s.demoted[way], s.ref[way] = true, sh.clock, false, true
+}
+
+// victimWhere is the reference scan: under LRU the eligible valid way
+// with the oldest stamp, demoted lines first, lowest way on ties; under
+// NRU the first eligible way with a clear reference bit, after clearing
+// the bits of the eligible ways (and only those) when all are set.
+func (sh *shadow) victimWhere(policy Policy, set int, eligible func(way int) bool) (int, bool) {
+	s := &sh.sets[set]
+	ok := func(w int) bool { return s.valid[w] && eligible(w) }
+	switch policy {
+	case LRU:
+		best := -1
+		for w := range s.valid {
+			if !ok(w) {
+				continue
+			}
+			if best < 0 || (s.demoted[w] && !s.demoted[best]) ||
+				(s.demoted[w] == s.demoted[best] && s.stamp[w] < s.stamp[best]) {
+				best = w
+			}
+		}
+		return best, best >= 0
+	case NRU:
+		any := false
+		for pass := 0; pass < 2; pass++ {
+			for w := range s.valid {
+				if ok(w) {
+					any = true
+					if !s.ref[w] {
+						return w, true
+					}
+				}
+			}
+			if !any {
+				return -1, false
+			}
+			for w := range s.valid {
+				if ok(w) {
+					s.ref[w] = false
+				}
+			}
+		}
+	}
+	return -1, false
+}
+
+// TestVictimExceptMatchesReference drives an array through random
+// inserts, touches, demotions and invalidations (so sets carry free
+// ways and demoted lines), mirroring each in a shadow model, and at
+// every step asks both for a victim under a random skip mask. Way
+// choice, ok, and (under NRU) the reference bits left behind must
+// agree.
+func TestVictimExceptMatchesReference(t *testing.T) {
+	for _, p := range benchPolicies {
+		t.Run(p.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(7))
+			geo := Geometry{Sets: 4, Ways: 8}
+			a, sh := New[int](geo, p.policy), newShadow(geo)
+			for step := 0; step < 20000; step++ {
+				set, way := rng.Intn(geo.Sets), rng.Intn(geo.Ways)
+				switch op := rng.Intn(10); {
+				case op < 4:
+					a.Insert(set, way, uint64(rng.Intn(64))<<2|uint64(set), step)
+					sh.touch(set, way)
+				case op < 6:
+					if a.Valid(set, way) {
+						a.Touch(set, way)
+						sh.touch(set, way)
+					}
+				case op < 7:
+					if a.Valid(set, way) {
+						a.Demote(set, way)
+						sh.sets[set].demoted[way], sh.sets[set].ref[way] = true, false
+					}
+				case op < 8:
+					a.Invalidate(set, way)
+					sh.sets[set].valid[way], sh.sets[set].ref[way] = false, false
+				}
+				skip := rng.Uint64() & rng.Uint64() // about a quarter of the ways
+				if rng.Intn(4) == 0 {
+					skip = 0
+				}
+				gw, gok := a.VictimExcept(set, skip)
+				ww, wok := sh.victimWhere(p.policy, set, func(w int) bool { return skip&(1<<w) == 0 })
+				if gw != ww || gok != wok {
+					t.Fatalf("step %d set %d skip %#x: VictimExcept = %d/%v, reference = %d/%v", step, set, skip, gw, gok, ww, wok)
+				}
+				if p.policy == NRU {
+					for s := range sh.sets {
+						for w := range sh.sets[s].ref {
+							if a.ref[s*geo.Ways+w] != sh.sets[s].ref[w] {
+								t.Fatalf("step %d: set %d way %d reference bit %v, reference scan left %v",
+									step, s, w, a.ref[s*geo.Ways+w], sh.sets[s].ref[w])
+							}
+						}
+					}
+				}
 			}
 		})
 	}

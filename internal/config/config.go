@@ -113,9 +113,11 @@ func wideServer(cores, scale int) Preset {
 }
 
 // Validate rejects a preset whose core count no structure in the system
-// can represent, or whose scaled cache capacities no cache geometry can
-// hold, with named errors so CLI layers can build refusal tables instead
-// of panicking deep inside CoreSet operations or cache construction.
+// can represent, whose scaled cache capacities no cache geometry can
+// hold, or whose associativity exceeds cache.MaxWays
+// (cache.ErrTooManyWays), with named errors so CLI layers can build
+// refusal tables instead of panicking deep inside CoreSet operations or
+// cache construction.
 func (p Preset) Validate() error {
 	if p.Cores <= 0 {
 		return fmt.Errorf("config: preset %q has %d cores", p.Name, p.Cores)
@@ -136,7 +138,9 @@ func (p Preset) Validate() error {
 		{"L2", p.CPU.L2Bytes, p.CPU.L2Ways},
 		{"LLC bank", p.LLCBytes / p.LLCBanks, p.LLCWays},
 	} {
-		if _, err := cache.GeometryFor(c.bytes, c.ways, coher.BlockBytes); err != nil {
+		if _, err := cache.GeometryFor(c.bytes, c.ways, coher.BlockBytes); errors.Is(err, cache.ErrTooManyWays) {
+			return fmt.Errorf("config: preset %q: %s: %w", p.Name, c.name, err)
+		} else if err != nil {
 			return fmt.Errorf("%w: preset %q at scale %d: %s: %v", ErrScaleTooLarge, p.Name, p.Scale, c.name, err)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/directory"
 	"repro/internal/llc"
@@ -105,5 +106,25 @@ func TestPresetValidateGeometry(t *testing.T) {
 	p.LLCBanks = 3
 	if err := p.Validate(); !errors.Is(err, ErrScaleTooLarge) {
 		t.Errorf("LLC split over 3 banks: err = %v, want ErrScaleTooLarge", err)
+	}
+}
+
+// TestPresetValidateWays pins the associativity bound: a 64-way LLC is
+// accepted, a 65-way one is refused with cache.ErrTooManyWays rather
+// than reported as a scale problem.
+func TestPresetValidateWays(t *testing.T) {
+	for _, tc := range []struct {
+		ways int
+		ok   bool
+	}{{64, true}, {65, false}} {
+		p := TableI(1)
+		p.LLCWays = tc.ways
+		err := p.Validate()
+		if tc.ok && err != nil {
+			t.Errorf("%d-way LLC: %v", tc.ways, err)
+		}
+		if !tc.ok && (!errors.Is(err, cache.ErrTooManyWays) || errors.Is(err, ErrScaleTooLarge)) {
+			t.Errorf("%d-way LLC: err = %v, want cache.ErrTooManyWays", tc.ways, err)
+		}
 	}
 }

@@ -25,35 +25,26 @@ type dlsProtocol struct {
 
 func (d *dlsProtocol) Backend() backend.ID { return backend.DLS }
 
-func (d *dlsProtocol) StoreDE(t sim.Cycle, addr coher.Addr, ent coher.Entry, v llc.View, haveView bool) (llc.View, bool) {
+func (d *dlsProtocol) StoreDE(t sim.Cycle, addr coher.Addr, ent coher.Entry, v llc.View) llc.View {
 	e := d.e
-	if !haveView {
-		v = e.llc.Probe(addr)
-	}
 	if v.HasDE() {
 		// In-tag update on the block's own line.
 		e.llc.Payload(v, v.DEWay).Entry = ent
-		return v, true
+		return v
 	}
 	if !v.HasData() {
 		// A tracked block must be LLC-resident: fill the line before
 		// attaching tracking state — the DLS residency tax.
 		e.stats.DLSLineFills++
-		if ev, ok := e.llc.InsertData(addr, false); ok {
-			e.handleEvicted(t, ev)
-		}
-		v = e.llc.Probe(addr)
-		if !v.HasData() {
-			panic(fmt.Sprintf("core: DLS line fill for %#x failed under protection", uint64(addr)))
-		}
+		v = e.fillLLCData(t, addr, false, v)
 	}
 	e.llc.Fuse(v, ent)
 	e.stats.DEFuses++
 	v.DEWay, v.Fused = v.DataWay, true
-	return v, true
+	return v
 }
 
-func (d *dlsProtocol) EvictNoDE(t sim.Cycle, c coher.CoreID, addr coher.Addr, state coher.PrivState) {
+func (d *dlsProtocol) EvictNoDE(t sim.Cycle, c coher.CoreID, addr coher.Addr, state coher.PrivState, v llc.View) {
 	// Inclusion guarantees every privately cached block has a tracked
 	// LLC line; an eviction notice without one is a protocol bug.
 	panic(fmt.Sprintf("core: DLS lost the in-tag tracking for %#x", uint64(addr)))

@@ -50,12 +50,12 @@ type phasePriorityProtocol struct {
 
 func (p *phasePriorityProtocol) Backend() backend.ID { return backend.PhasePriority }
 
-func (p *phasePriorityProtocol) StoreDE(t sim.Cycle, addr coher.Addr, ent coher.Entry, v llc.View, haveView bool) (llc.View, bool) {
+func (p *phasePriorityProtocol) StoreDE(t sim.Cycle, addr coher.Addr, ent coher.Entry, v llc.View) llc.View {
 	e := p.e
 	victims, housed := p.dir.Store(addr, ent)
 	if housed {
 		e.processDEVs(t, victims)
-		return v, haveView
+		return v
 	}
 	// Retry budget exhausted (charged by Admit at request entry): the
 	// phase boundary escalates this request's priority and the
@@ -71,10 +71,10 @@ func (p *phasePriorityProtocol) StoreDE(t sim.Cycle, addr coher.Addr, ent coher.
 	if _, housed := p.dir.Store(addr, ent); !housed {
 		panic(fmt.Sprintf("core: phase-priority directory refused %#x after escalation", uint64(addr)))
 	}
-	return v, haveView
+	return v
 }
 
-func (p *phasePriorityProtocol) EvictNoDE(t sim.Cycle, c coher.CoreID, addr coher.Addr, state coher.PrivState) {
+func (p *phasePriorityProtocol) EvictNoDE(t sim.Cycle, c coher.CoreID, addr coher.Addr, state coher.PrivState, v llc.View) {
 	panic(fmt.Sprintf("core: phase-priority lost the directory entry for %#x", uint64(addr)))
 }
 

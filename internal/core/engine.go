@@ -250,17 +250,53 @@ func (e *Engine) reconcileImprecise(addr coher.Addr, ent coher.Entry) coher.Entr
 	return ent
 }
 
-// findDE locates the directory entry for addr within the socket: the
-// sparse directory and, for backends that house entries in the LLC, the
-// spilled or fused line in the pre-computed view.
+// findDE locates the directory entry for addr within the socket: for
+// backends that house entries in the LLC, the spilled or fused line in
+// the pre-computed view, and the sparse directory. An entry lives in
+// exactly one place (the single-location invariant CheckInvariants
+// audits), so a housed line answers without a directory lookup.
 func (e *Engine) findDE(addr coher.Addr, v llc.View) (coher.Entry, deLoc) {
-	if ent, ok := e.dir.Lookup(addr); ok {
-		return ent, locDir
-	}
 	if e.housesInLLC && v.HasDE() {
 		return e.llc.Payload(v, v.DEWay).Entry, locLLC
 	}
+	if ent, ok := e.dir.Lookup(addr); ok {
+		return ent, locDir
+	}
 	return coher.Entry{}, locNone
+}
+
+// viewFault, when non-nil, receives a description of every threaded
+// LLC view (or LLC-residency fact) that disagrees with a fresh Probe at
+// its point of use. It is a test seam, installed only by the package's
+// tests (export_test.go); ordinary runs pay one nil check per use.
+var viewFault func(msg string)
+
+// usingView reports v to viewFault when it is not addr's current view.
+// The check lives out of line so this stays an inlined nil test.
+func (e *Engine) usingView(addr coher.Addr, v llc.View) {
+	if viewFault != nil {
+		e.checkView(addr, v)
+	}
+}
+
+func (e *Engine) checkView(addr coher.Addr, v llc.View) {
+	if fresh := e.llc.Probe(addr); fresh != v {
+		viewFault(fmt.Sprintf("%#x: threaded view %+v, fresh probe %+v", uint64(addr), v, fresh))
+	}
+}
+
+// usingResidency reports inLLC to viewFault when it disagrees with
+// whether addr has any LLC line.
+func (e *Engine) usingResidency(addr coher.Addr, inLLC bool) {
+	if viewFault != nil {
+		e.checkResidency(addr, inLLC)
+	}
+}
+
+func (e *Engine) checkResidency(addr coher.Addr, inLLC bool) {
+	if fresh := e.llc.Probe(addr); inLLC != (fresh.HasData() || fresh.HasDE()) {
+		viewFault(fmt.Sprintf("%#x: threaded residency %v, fresh probe %+v", uint64(addr), inLLC, fresh))
+	}
 }
 
 // usableData reports whether v's data part can serve a request

@@ -35,7 +35,7 @@ func (e *Engine) Evict(t sim.Cycle, c coher.CoreID, addr coher.Addr, state coher
 		if e.faultHooks != nil {
 			e.faultHooks.EvictNoDEFault(t, c, addr, state)
 		}
-		e.evictNoDE(t, c, addr, state)
+		e.proto.EvictNoDE(t, c, addr, state, v)
 		return
 	}
 	switch ent.State {
@@ -67,28 +67,17 @@ func (e *Engine) Evict(t sim.Cycle, c coher.CoreID, addr coher.Addr, state coher
 		e.faultHooks.LastHolderGoneFault(t, addr, state)
 	}
 	e.proto.LastHolderGone(t, addr, state, v)
-	blockInLLC := e.freeDE(t, addr, state == coher.PrivModified, v)
+	v = e.freeDE(t, addr, state == coher.PrivModified, v)
 	switch {
 	case state == coher.PrivModified:
 		// The dirty writeback allocates (or updates) the LLC line.
-		e.fillLLCData(t, addr, true)
-		blockInLLC = true
+		e.fillLLCData(t, addr, true, v)
 	case state == coher.PrivExclusive && e.llc.Mode() == llc.EPD:
 		// EPD allocates the block in the LLC on owner eviction (§III-E).
-		e.fillLLCData(t, addr, false)
-		blockInLLC = true
-	}
-	if !blockInLLC {
+		e.fillLLCData(t, addr, false, v)
+	case !v.HasData():
 		e.socketEvictNotice(t, addr)
 	}
-}
-
-// evictNoDE handles an eviction notice whose directory entry is not on
-// the socket. Only backends that can lose the entry to home memory
-// (zerodev's corrupted-block housing, Fig. 16) have a real flow here;
-// the rest treat it as a protocol bug.
-func (e *Engine) evictNoDE(t sim.Cycle, c coher.CoreID, addr coher.Addr, state coher.PrivState) {
-	e.proto.EvictNoDE(t, c, addr, state)
 }
 
 // socketEvictNotice informs home that this socket no longer holds the
@@ -107,15 +96,17 @@ func (e *Engine) socketEvictNotice(t sim.Cycle, addr coher.Addr) {
 
 // maybeSocketEvict sends the socket-level eviction notice when the
 // socket no longer holds the block anywhere: no directory entry
-// (on-chip or in a home-memory segment), no LLC line. Keeping the
-// socket-level directory precise this way is what lets forwarded
-// requests trust it (§III-D).
-func (e *Engine) maybeSocketEvict(t sim.Cycle, addr coher.Addr) {
+// (on-chip or in a home-memory segment), no LLC line. inLLC is whether
+// addr has an LLC line, which every caller already knows from a view or
+// the victim scan. Keeping the socket-level directory precise this way
+// is what lets forwarded requests trust it (§III-D).
+func (e *Engine) maybeSocketEvict(t sim.Cycle, addr coher.Addr, inLLC bool) {
+	e.usingResidency(addr, inLLC)
+	if inLLC {
+		return
+	}
 	if _, ok := e.dir.Lookup(addr); ok {
 		return // holders exist in the socket
-	}
-	if v := e.llc.Probe(addr); v.HasData() || v.HasDE() {
-		return
 	}
 	if _, live := e.home.Segment(e.p.Socket, addr); live {
 		return // holders exist; their entry lives in home memory

@@ -136,7 +136,8 @@ func (e *Engine) InjectInvalidation(t sim.Cycle, addr coher.Addr) bool {
 		// perishes with the injected invalidation instead.
 		e.home.WriteBack(t, e.p.Socket, addr)
 	}
-	e.maybeSocketEvict(t, addr)
+	v := e.llc.Probe(addr)
+	e.maybeSocketEvict(t, addr, v.HasData() || v.HasDE())
 	return true
 }
 

@@ -14,11 +14,12 @@ type FetchResult struct {
 	// Done is when the data (or corrupted block) arrives at the
 	// requesting socket's LLC bank.
 	Done sim.Cycle
-	// DE is non-nil when home returned a corrupted block and the
-	// requesting socket extracted its own intra-socket directory entry
-	// from it (paper Fig. 15, step 3 / §III-D2 fallback). The protocol
-	// then proceeds as a directory hit with an LLC data miss.
-	DE *coher.Entry
+	// DE is live when home returned a corrupted block and the requesting
+	// socket extracted its own intra-socket directory entry from it
+	// (paper Fig. 15, step 3 / §III-D2 fallback). The protocol then
+	// proceeds as a directory hit with an LLC data miss. Carried by value
+	// so a corrupted fetch allocates nothing.
+	DE coher.Entry
 	// ServedBySocket is true when another socket supplied the data
 	// (multi-socket three-hop path); the home memory was not read.
 	ServedBySocket bool
@@ -121,7 +122,7 @@ func (h *LocalHome) FetchBlock(t sim.Cycle, socket int, addr coher.Addr, exclusi
 	}
 	done := h.dram.Read(t, uint64(addr), dram.KindDE) + 1
 	h.mem.ClearSegment(addr, socket)
-	return FetchResult{Done: done, DE: &e}
+	return FetchResult{Done: done, DE: e}
 }
 
 // WriteBack implements Home.

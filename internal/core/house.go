@@ -17,58 +17,44 @@ import (
 // the baseline turns directory victims into DEVs.
 
 // storeDE writes the live entry for addr wherever it currently lives,
-// creating housing when it lives nowhere on the socket. It maintains the
-// policy invariants on spilled/fused form.
-func (e *Engine) storeDE(t sim.Cycle, addr coher.Addr, ent coher.Entry) {
-	e.storeDEView(t, addr, ent, llc.View{DataWay: -1, DEWay: -1}, false)
-}
-
-// storeDETouch performs the storeDE-then-touchLLC sequence the request
-// flows end with, reusing the caller's view v of addr so the pair costs
-// at most one LLC probe. v must be current: Protect(addr) held (so no
-// allocation can displace addr's lines) and no fill or DE-housing
-// change for addr since v was probed.
-func (e *Engine) storeDETouch(t sim.Cycle, addr coher.Addr, ent coher.Entry, v llc.View) {
-	nv, known := e.storeDEView(t, addr, ent, v, true)
-	if !known {
-		nv = e.llc.Probe(addr)
-	}
-	if nv.HasData() || nv.HasDE() {
-		e.llc.Touch(nv)
-	}
-}
-
-// storeDEView is storeDE taking the caller's current view of addr
-// (haveView), saving the probe on the LLC-housing paths. It returns
-// addr's view after housing; known is false when the final view would
-// require a fresh probe (a spilled line landed at a way this function
-// cannot cheaply know, or no view was supplied). Where the entry may
-// live — and what a housing conflict costs — is the backend's call, so
-// the body dispatches to the protocol object.
-func (e *Engine) storeDEView(t sim.Cycle, addr coher.Addr, ent coher.Entry, v llc.View, haveView bool) (after llc.View, known bool) {
+// creating housing when it lives nowhere on the socket, and returns
+// addr's view after housing. It maintains the policy invariants on
+// spilled/fused form. v must be the caller's current view of addr:
+// Protect(addr) held (so no allocation can displace addr's lines), and
+// every fill or DE-housing change for addr since v was probed applied
+// to v — the engine's LLC helpers each return the view they leave
+// behind, so a transaction probes its set once and threads the view.
+// Where the entry may live, and what a housing conflict costs, is the
+// backend's call, so the body dispatches to the protocol object.
+func (e *Engine) storeDE(t sim.Cycle, addr coher.Addr, ent coher.Entry, v llc.View) llc.View {
 	if !ent.Live() {
 		panic("core: storeDE with a dead entry; use freeDE")
 	}
-	return e.proto.StoreDE(t, addr, ent, v, haveView)
+	e.usingView(addr, v)
+	return e.proto.StoreDE(t, addr, ent, v)
+}
+
+// storeDETouch is storeDE followed by the access-time replacement
+// update (the B-then-spilled-EB order of spLRU) on the view storeDE
+// returns; the request flows end with it.
+func (e *Engine) storeDETouch(t sim.Cycle, addr coher.Addr, ent coher.Entry, v llc.View) {
+	v = e.storeDE(t, addr, ent, v)
+	e.usingView(addr, v)
+	if v.HasData() || v.HasDE() {
+		e.llc.Touch(v)
+	}
 }
 
 // updateLLCDE rewrites an LLC-housed entry, converting between spilled
 // and fused forms when the coherence state transition demands it
-// (zerodev protocol only). It returns addr's view after the rewrite;
-// known is false when the new housing landed at a way only a fresh
-// probe can find.
-func (e *Engine) updateLLCDE(t sim.Cycle, addr coher.Addr, ent coher.Entry, v llc.View) (after llc.View, known bool) {
+// (zerodev protocol only). It returns addr's view after the rewrite.
+func (e *Engine) updateLLCDE(t sim.Cycle, addr coher.Addr, ent coher.Entry, v llc.View) llc.View {
 	switch e.p.Policy {
 	case FPSS:
 		if v.Fused && ent.State == coher.DirShared {
 			// M/E → S: the owner's busy-clear message carried the low bits,
 			// so the block is reconstructed and the entry spills (§III-C2).
-			e.llc.Unfuse(v)
-			e.stats.DEFuseToSpill++
-			if ev, ok := e.llc.InsertSpilled(addr, ent); ok {
-				e.handleEvicted(t, ev)
-			}
-			return llc.View{}, false
+			return e.unfuseToSpill(t, addr, ent, v)
 		}
 		if !v.Fused && ent.State == coher.DirOwned && v.HasData() && e.llc.Mode() != llc.EPD {
 			// S → M/E: fuse with the block, freeing the spilled line
@@ -79,7 +65,7 @@ func (e *Engine) updateLLCDE(t sim.Cycle, addr coher.Addr, ent coher.Entry, v ll
 			e.llc.Fuse(v, ent)
 			e.stats.DESpillToFuse++
 			v.DEWay, v.Fused = v.DataWay, true
-			return v, true
+			return v
 		}
 		// Block absent (or EPD, where M/E blocks leave the LLC): the
 		// entry stays in spilled form.
@@ -89,12 +75,7 @@ func (e *Engine) updateLLCDE(t sim.Cycle, addr coher.Addr, ent coher.Entry, v ll
 			// Wide sockets: the S-state fused header (4+N bits) no longer
 			// fits the line; the entry reverts to spilled form, exactly
 			// like the FPSS M/E → S conversion. Never taken at ≤508 cores.
-			e.llc.Unfuse(v)
-			e.stats.DEFuseToSpill++
-			if ev, ok := e.llc.InsertSpilled(addr, ent); ok {
-				e.handleEvicted(t, ev)
-			}
-			return llc.View{}, false
+			return e.unfuseToSpill(t, addr, ent, v)
 		}
 		if v.Fused && ent.State == coher.DirOwned && e.llc.Mode() == llc.EPD {
 			// EPD deallocates M/E blocks from the LLC; the fused line's
@@ -104,24 +85,39 @@ func (e *Engine) updateLLCDE(t sim.Cycle, addr coher.Addr, ent coher.Entry, v ll
 			p.Dirty = false
 			p.Entry = ent
 			v.DataWay, v.Fused = -1, false
-			return v, true
+			return v
 		}
 		e.llc.Payload(v, v.DEWay).Entry = ent
 	default: // SpillAll
 		e.llc.Payload(v, v.DEWay).Entry = ent
 	}
-	return v, true
+	return v
 }
 
-// houseInLLC places a new entry in the LLC according to the caching
-// policy (§III-C1..3).
-func (e *Engine) houseInLLC(t sim.Cycle, addr coher.Addr, ent coher.Entry) {
-	e.houseInLLCView(t, addr, ent, e.llc.Probe(addr))
+// unfuseToSpill restores v's fused line to a plain data line and spills
+// ent into a line of its own, returning addr's view afterwards.
+func (e *Engine) unfuseToSpill(t sim.Cycle, addr coher.Addr, ent coher.Entry, v llc.View) llc.View {
+	e.llc.Unfuse(v)
+	e.stats.DEFuseToSpill++
+	v.DEWay, v.Fused = -1, false
+	return e.spill(t, addr, ent, v)
 }
 
-// houseInLLCView is houseInLLC with the caller's current view of addr.
-// Returns the post-housing view like updateLLCDE.
-func (e *Engine) houseInLLCView(t sim.Cycle, addr coher.Addr, ent coher.Entry, v llc.View) (after llc.View, known bool) {
+// spill allocates a spilled-entry line for addr (whose view v shows no
+// directory-entry line) and disposes of the line it displaces.
+func (e *Engine) spill(t sim.Cycle, addr coher.Addr, ent coher.Entry, v llc.View) llc.View {
+	v, ev, ok := e.llc.InsertSpilled(addr, v, ent)
+	if ok {
+		e.handleEvicted(t, ev)
+	}
+	return v
+}
+
+// houseInLLC places the entry for addr in the LLC according to the
+// caching policy (§III-C1..3), given the caller's current view of addr
+// (callers housing another address's entry probe it first). Returns the
+// post-housing view like updateLLCDE.
+func (e *Engine) houseInLLC(t sim.Cycle, addr coher.Addr, ent coher.Entry, v llc.View) llc.View {
 	if v.HasDE() {
 		return e.updateLLCDE(t, addr, ent, v)
 	}
@@ -139,27 +135,27 @@ func (e *Engine) houseInLLCView(t sim.Cycle, addr coher.Addr, ent coher.Entry, v
 		e.llc.Fuse(v, ent)
 		e.stats.DEFuses++
 		v.DEWay, v.Fused = v.DataWay, true
-		return v, true
+		return v
 	}
 	e.stats.DESpills++
-	if ev, ok := e.llc.InsertSpilled(addr, ent); ok {
-		e.handleEvicted(t, ev)
-	}
-	return llc.View{}, false
+	return e.spill(t, addr, ent, v)
 }
 
 // freeDE removes the entry for addr from wherever it lives on the
 // socket. forceDirty is meaningful when the entry was fused: it forces
 // the reconstructed block part's dirty bit (PutM deliveries carry fresh
-// dirty data). v must be the caller's current view of addr. It reports
-// whether the block remains LLC-resident.
-func (e *Engine) freeDE(t sim.Cycle, addr coher.Addr, forceDirty bool, v llc.View) (blockInLLC bool) {
-	if _, ok := e.dir.Lookup(addr); ok {
-		e.dir.Free(addr)
-		return v.HasData()
-	}
+// dirty data). v must be the caller's current view of addr; freeDE
+// returns the view afterwards, whose HasData reports whether the block
+// remains LLC-resident.
+func (e *Engine) freeDE(t sim.Cycle, addr coher.Addr, forceDirty bool, v llc.View) llc.View {
+	e.usingView(addr, v)
 	if !v.HasDE() {
-		return v.HasData()
+		// Not housed in the LLC: the entry, if on the socket, is in the
+		// directory (single location).
+		if _, ok := e.dir.Lookup(addr); ok {
+			e.dir.Free(addr)
+		}
+		return v
 	}
 	e.stats.DEFreedInLLC++
 	if v.Fused {
@@ -170,12 +166,13 @@ func (e *Engine) freeDE(t sim.Cycle, addr coher.Addr, forceDirty bool, v llc.Vie
 		dirty := e.llc.Payload(v, v.DEWay).Dirty || forceDirty
 		e.llc.Unfuse(v)
 		e.llc.Payload(v, v.DataWay).Dirty = dirty
-		return true
+	} else {
+		// Dropping a spilled DE only invalidates the DE way; the block's
+		// data line, if any, is where v says.
+		e.llc.DropDE(v)
 	}
-	// Dropping a spilled DE only invalidates the DE way; whether the
-	// block's data line is resident is unchanged from the probe above.
-	e.llc.DropDE(v)
-	return v.HasData()
+	v.DEWay, v.Fused = -1, false
+	return v
 }
 
 // handleEvicted disposes of a line displaced from the LLC.
@@ -195,7 +192,7 @@ func (e *Engine) handleEvicted(t sim.Cycle, ev llc.Evicted) {
 		// is restored later by the last-copy retrieval of §III-D4. Any
 		// drop may remove the socket's last copy, so the home
 		// socket-level directory must learn about it.
-		e.maybeSocketEvict(t, ev.Addr)
+		e.maybeSocketEvict(t, ev.Addr, ev.Remains)
 	case llc.KindSpilled, llc.KindFused:
 		if !ev.Entry.Live() {
 			panic("core: dead directory entry housed in LLC")
@@ -221,7 +218,7 @@ func (e *Engine) handleEvicted(t sim.Cycle, ev llc.Evicted) {
 			if dirty {
 				e.home.WriteBack(t, e.p.Socket, ev.Addr)
 			}
-			e.maybeSocketEvict(t, ev.Addr)
+			e.maybeSocketEvict(t, ev.Addr, ev.Remains)
 			return
 		}
 		// The ZeroDEV mechanism of §III-D: a live directory entry leaves
@@ -239,6 +236,7 @@ func (e *Engine) handleEvicted(t sim.Cycle, ev llc.Evicted) {
 func (e *Engine) backInvalidate(t sim.Cycle, ev llc.Evicted) {
 	v := e.llc.Probe(ev.Addr) // the data line is already gone; a spilled DE may remain
 	ent, loc := e.findDE(ev.Addr, v)
+	remains := v.HasData() || v.HasDE()
 	dirty := ev.Dirty
 	if loc != locNone {
 		ent.Holders().ForEach(func(h coher.CoreID) {
@@ -262,12 +260,13 @@ func (e *Engine) backInvalidate(t sim.Cycle, ev llc.Evicted) {
 			// touch only private caches, so it is still current.
 			e.llc.DropDE(v)
 			e.stats.DEFreedInLLC++
+			remains = v.HasData()
 		}
 	}
 	if dirty && !e.home.Corrupted(ev.Addr) {
 		e.home.WriteBack(t, e.p.Socket, ev.Addr)
 	}
-	e.maybeSocketEvict(t, ev.Addr)
+	e.maybeSocketEvict(t, ev.Addr, remains)
 }
 
 // processDEVs performs the invalidations a baseline directory eviction
@@ -291,35 +290,33 @@ func (e *Engine) processDEVs(t sim.Cycle, victims []directory.Victim) {
 				dirty = true
 			}
 		})
+		// The victim's address is not the transaction's: probe it once.
+		lv := e.llc.Probe(v.Addr)
 		if dirty {
 			e.stats.DEVDirtyRetrievals++
 			e.record(coher.MsgPutM)
-			e.fillLLCData(t, v.Addr, true)
+			e.fillLLCData(t, v.Addr, true, lv)
 		} else {
-			e.maybeSocketEvict(t, v.Addr)
+			e.maybeSocketEvict(t, v.Addr, lv.HasData() || lv.HasDE())
 		}
 	}
 }
 
 // fillLLCData delivers block data to the LLC: updates a resident line's
-// dirty bit or allocates a new line, handling the displaced victim.
-func (e *Engine) fillLLCData(t sim.Cycle, addr coher.Addr, dirty bool) {
-	v := e.llc.Probe(addr)
+// dirty bit or allocates a new line, handling the displaced victim. v is
+// the caller's current view of addr; the view after the fill is
+// returned.
+func (e *Engine) fillLLCData(t sim.Cycle, addr coher.Addr, dirty bool, v llc.View) llc.View {
+	e.usingView(addr, v)
 	if v.HasData() {
 		p := e.llc.Payload(v, v.DataWay)
 		p.Dirty = p.Dirty || dirty
 		e.llc.Touch(v)
-		return
+		return v
 	}
-	if ev, ok := e.llc.InsertData(addr, dirty); ok {
+	v, ev, ok := e.llc.InsertData(addr, v, dirty)
+	if ok {
 		e.handleEvicted(t, ev)
 	}
-}
-
-// touchLLC applies the access-time replacement update for addr (the
-// B-then-spilled-EB order of spLRU).
-func (e *Engine) touchLLC(addr coher.Addr) {
-	if v := e.llc.Probe(addr); v.HasData() || v.HasDE() {
-		e.llc.Touch(v)
-	}
+	return v
 }

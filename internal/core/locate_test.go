@@ -81,7 +81,8 @@ func TestLocateEntry(t *testing.T) {
 				true, core.SpillAll, llc.DataLRU, llc.NonInclusive),
 			setup: func(t *testing.T, sys *core.System, sc []*script) {
 				storeFrom(sys, sc, 0, X)
-				sys.Engine.LLC().InsertSpilled(X, coher.Entry{State: coher.DirOwned, Owner: 0})
+				l := sys.Engine.LLC()
+				l.InsertSpilled(X, l.Probe(X), coher.Entry{State: coher.DirOwned, Owner: 0})
 			},
 			want: result{err: "tracked in both directory and LLC-spilled"},
 		},

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/backend"
 	"repro/internal/coher"
+	"repro/internal/directory"
 	"repro/internal/llc"
 	"repro/internal/sim"
 )
@@ -22,17 +23,16 @@ type Protocol interface {
 	Backend() backend.ID
 
 	// StoreDE writes the live entry for addr wherever this backend
-	// houses it, creating housing when it lives nowhere on the socket
-	// (the storeDEView contract: v is the caller's current view of addr
-	// when haveView, Protect(addr) held; after/known describe addr's
-	// post-housing view).
-	StoreDE(t sim.Cycle, addr coher.Addr, ent coher.Entry, v llc.View, haveView bool) (after llc.View, known bool)
+	// houses it, creating housing when it lives nowhere on the socket,
+	// and returns addr's post-housing view (the Engine.storeDE contract:
+	// v is the caller's current view of addr, Protect(addr) held).
+	StoreDE(t sim.Cycle, addr coher.Addr, ent coher.Entry, v llc.View) (after llc.View)
 
 	// EvictNoDE handles a core eviction notice for a block with no
-	// directory entry on the socket. Only backends that can lose the
-	// entry to home memory (WB_DE) have a real flow here; the rest
-	// treat it as a protocol bug.
-	EvictNoDE(t sim.Cycle, c coher.CoreID, addr coher.Addr, state coher.PrivState)
+	// directory entry on the socket; v is the current view of addr.
+	// Only backends that can lose the entry to home memory (WB_DE) have
+	// a real flow here; the rest treat it as a protocol bug.
+	EvictNoDE(t sim.Cycle, c coher.CoreID, addr coher.Addr, state coher.PrivState, v llc.View)
 
 	// LastHolderGone runs when the socket's last private copy leaves,
 	// immediately before the entry is freed (the FuseAll last-sharer
@@ -93,8 +93,12 @@ type zerodevProtocol struct {
 
 func (z *zerodevProtocol) Backend() backend.ID { return backend.ZeroDEV }
 
-func (z *zerodevProtocol) StoreDE(t sim.Cycle, addr coher.Addr, ent coher.Entry, v llc.View, haveView bool) (llc.View, bool) {
+func (z *zerodevProtocol) StoreDE(t sim.Cycle, addr coher.Addr, ent coher.Entry, v llc.View) llc.View {
 	e := z.e
+	if v.HasDE() {
+		// Housed in the LLC, so not in the directory (single location).
+		return e.updateLLCDE(t, addr, ent, v)
+	}
 	if _, ok := e.dir.Lookup(addr); ok {
 		// In-place update. Traditional directories never evict here, but
 		// SecDir (private-partition conflicts while reconciling holders)
@@ -104,19 +108,8 @@ func (z *zerodevProtocol) StoreDE(t sim.Cycle, addr coher.Addr, ent coher.Entry,
 		if !housed {
 			panic("core: in-place directory update refused")
 		}
-		for _, w := range victims {
-			if w.Entry.Live() {
-				e.stats.DEDisplacedToLLC++
-				e.houseInLLC(t, w.Addr, w.Entry)
-			}
-		}
-		return v, haveView
-	}
-	if !haveView {
-		v = e.llc.Probe(addr)
-	}
-	if v.HasDE() {
-		return e.updateLLCDE(t, addr, ent, v)
+		z.houseVictims(t, victims)
+		return v
 	}
 	// New housing: the sparse directory first.
 	victims, housed := e.dir.Store(addr, ent)
@@ -126,19 +119,27 @@ func (z *zerodevProtocol) StoreDE(t sim.Cycle, addr coher.Addr, ent coher.Entry,
 		// instead of generating DEVs — but it has now disturbed both
 		// structures, which is why the paper prefers the
 		// replacement-disabled design.
-		for _, w := range victims {
-			if w.Entry.Live() {
-				e.stats.DEDisplacedToLLC++
-				e.houseInLLC(t, w.Addr, w.Entry)
-			}
-		}
-		return v, true
+		z.houseVictims(t, victims)
+		return v
 	}
-	return e.houseInLLCView(t, addr, ent, v)
+	return e.houseInLLC(t, addr, ent, v)
+}
+
+// houseVictims moves the live entries a directory store displaced into
+// the LLC. Each is another address than the transaction's, so each is
+// probed once here.
+func (z *zerodevProtocol) houseVictims(t sim.Cycle, victims []directory.Victim) {
+	e := z.e
+	for _, w := range victims {
+		if w.Entry.Live() {
+			e.stats.DEDisplacedToLLC++
+			e.houseInLLC(t, w.Addr, w.Entry, e.llc.Probe(w.Addr))
+		}
+	}
 }
 
 // EvictNoDE: the entry lives in the corrupted home block. Fig. 16.
-func (z *zerodevProtocol) EvictNoDE(t sim.Cycle, c coher.CoreID, addr coher.Addr, state coher.PrivState) {
+func (z *zerodevProtocol) EvictNoDE(t sim.Cycle, c coher.CoreID, addr coher.Addr, state coher.PrivState, v llc.View) {
 	e := z.e
 	if state == coher.PrivModified {
 		// Full cache block: the evicting core is the system-wide owner;
@@ -146,7 +147,8 @@ func (z *zerodevProtocol) EvictNoDE(t sim.Cycle, c coher.CoreID, addr coher.Addr
 		// corrupted memory copy. If the socket now holds nothing, the
 		// socket-level directory learns about it too.
 		e.home.WriteBack(t, e.p.Socket, addr)
-		if !e.llc.Probe(addr).HasData() {
+		e.usingView(addr, v)
+		if !v.HasData() {
 			e.socketEvictNotice(t, addr)
 		}
 		return
@@ -169,7 +171,8 @@ func (z *zerodevProtocol) EvictNoDE(t sim.Cycle, c coher.CoreID, addr coher.Addr
 		return
 	}
 	e.home.PutDE(t, e.p.Socket, addr, coher.Entry{})
-	if e.llc.Probe(addr).HasData() {
+	e.usingView(addr, v)
+	if v.HasData() {
 		// The socket still holds the block in its LLC.
 		return
 	}
@@ -216,25 +219,22 @@ type sparseMESIProtocol struct {
 
 func (s *sparseMESIProtocol) Backend() backend.ID { return backend.SparseMESI }
 
-func (s *sparseMESIProtocol) StoreDE(t sim.Cycle, addr coher.Addr, ent coher.Entry, v llc.View, haveView bool) (llc.View, bool) {
+func (s *sparseMESIProtocol) StoreDE(t sim.Cycle, addr coher.Addr, ent coher.Entry, v llc.View) llc.View {
 	e := s.e
-	if _, ok := e.dir.Lookup(addr); ok {
-		victims, housed := e.dir.Store(addr, ent)
-		if !housed {
-			panic("core: in-place directory update refused")
-		}
-		e.processDEVs(t, victims)
-		return v, haveView
-	}
 	victims, housed := e.dir.Store(addr, ent)
 	if !housed {
+		// A refused store leaves the directory unchanged, so Lookup tells
+		// which contract it broke.
+		if _, ok := e.dir.Lookup(addr); ok {
+			panic("core: in-place directory update refused")
+		}
 		panic("core: baseline directory refused an allocation")
 	}
 	e.processDEVs(t, victims)
-	return v, haveView
+	return v
 }
 
-func (s *sparseMESIProtocol) EvictNoDE(t sim.Cycle, c coher.CoreID, addr coher.Addr, state coher.PrivState) {
+func (s *sparseMESIProtocol) EvictNoDE(t sim.Cycle, c coher.CoreID, addr coher.Addr, state coher.PrivState, v llc.View) {
 	panic(fmt.Sprintf("core: baseline lost the directory entry for %#x", uint64(addr)))
 }
 

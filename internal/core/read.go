@@ -36,7 +36,7 @@ func (e *Engine) Read(t sim.Cycle, c coher.CoreID, addr coher.Addr, code bool) (
 	fwdBefore, memBefore := e.stats.Forwards3Hop, e.stats.LLCMisses
 	switch {
 	case loc != locNone && ent.State == coher.DirOwned:
-		done, granted = e.readFromOwner(t1, c, addr, ent)
+		done, granted = e.readFromOwner(t1, c, addr, ent, v)
 	case loc != locNone && ent.State == coher.DirShared:
 		done, granted = e.readShared(t1, c, addr, ent, loc, v)
 	default:
@@ -62,8 +62,8 @@ func (e *Engine) Read(t sim.Cycle, c coher.CoreID, addr coher.Addr, code bool) (
 
 // readFromOwner serves a read whose block is owned by another core: the
 // request is forwarded and the owner responds directly to the requester
-// (three-hop path, §III-A).
-func (e *Engine) readFromOwner(t1 sim.Cycle, c coher.CoreID, addr coher.Addr, ent coher.Entry) (sim.Cycle, coher.PrivState) {
+// (three-hop path, §III-A). v is the current view of addr.
+func (e *Engine) readFromOwner(t1 sim.Cycle, c coher.CoreID, addr coher.Addr, ent coher.Entry, v llc.View) (sim.Cycle, coher.PrivState) {
 	owner := ent.Owner
 	if owner == c {
 		panic(fmt.Sprintf("core: core %d read-missed a block it owns (%#x)", c, uint64(addr)))
@@ -86,17 +86,16 @@ func (e *Engine) readFromOwner(t1 sim.Cycle, c coher.CoreID, addr coher.Addr, en
 	// future sharing (§III-E).
 	if prev == coher.PrivModified {
 		e.record(coher.MsgPutM)
-		e.fillLLCData(t1, addr, true)
+		v = e.fillLLCData(t1, addr, true, v)
 	} else if e.llc.Mode() == llc.EPD {
-		e.fillLLCData(t1, addr, false)
+		v = e.fillLLCData(t1, addr, false, v)
 	}
 
 	var next coher.Entry
 	next.State = coher.DirShared
 	next.Sharers.Add(owner)
 	next.Sharers.Add(c)
-	e.storeDE(t1, addr, next)
-	e.touchLLC(addr)
+	e.storeDETouch(t1, addr, next, v)
 	return done, coher.PrivShared
 }
 
@@ -156,8 +155,8 @@ func (e *Engine) readNoDE(t1 sim.Cycle, c coher.CoreID, addr coher.Addr, code bo
 			if de, d0, ok := e.home.GetDE(t1, e.p.Socket, addr); ok {
 				e.home.PutDE(t1, e.p.Socket, addr, coher.Entry{}) // segment consumed
 				e.stats.CorruptedFetches++
-				e.storeDE(d0, addr, e.reconcileImprecise(addr, de))
-				return e.redispatchRead(d0, c, addr, code)
+				v = e.storeDE(d0, addr, e.reconcileImprecise(addr, de), v)
+				return e.redispatchRead(d0, c, addr, v)
 			}
 		}
 		e.stats.LLCDataHits++
@@ -179,13 +178,13 @@ func (e *Engine) readNoDE(t1 sim.Cycle, c coher.CoreID, addr coher.Addr, code bo
 	// Case iv: socket miss.
 	e.stats.LLCMisses++
 	res := e.home.FetchBlock(t1, e.p.Socket, addr, false)
-	if res.DE != nil {
+	if res.DE.Live() {
 		// The home block was corrupted and carried our directory entry;
 		// re-house it and finish as a directory hit with an LLC data miss.
 		e.stats.CorruptedFetches++
 		e.stats.CorruptedReadMisses++
-		e.storeDE(res.Done, addr, e.reconcileImprecise(addr, *res.DE))
-		return e.redispatchRead(res.Done, c, addr, code)
+		v = e.storeDE(res.Done, addr, e.reconcileImprecise(addr, res.DE), v)
+		return e.redispatchRead(res.Done, c, addr, v)
 	}
 	granted := coher.PrivExclusive
 	if code || res.SharedGrant {
@@ -194,23 +193,22 @@ func (e *Engine) readNoDE(t1 sim.Cycle, c coher.CoreID, addr coher.Addr, code bo
 	// Demand fills from memory allocate in the LLC (§III-A), except under
 	// EPD where blocks granted in E stay exclusive to the private caches.
 	if e.llc.Mode() != llc.EPD || granted == coher.PrivShared {
-		e.fillLLCData(t1, addr, false)
+		v = e.fillLLCData(t1, addr, false, v)
 	}
 	e.record(coher.MsgData)
 	done := res.Done + e.mesh.BankToCore(bank, c)
-	e.storeDE(t1, addr, e.freshEntry(c, granted))
-	e.touchLLC(addr)
+	e.storeDETouch(t1, addr, e.freshEntry(c, granted), v)
 	return done, granted
 }
 
 // redispatchRead re-runs the directory-hit paths after a directory entry
-// was recovered from a corrupted home block.
-func (e *Engine) redispatchRead(t sim.Cycle, c coher.CoreID, addr coher.Addr, code bool) (sim.Cycle, coher.PrivState) {
-	v := e.llc.Probe(addr)
+// was recovered from a corrupted home block and re-housed; v is addr's
+// view after the re-housing.
+func (e *Engine) redispatchRead(t sim.Cycle, c coher.CoreID, addr coher.Addr, v llc.View) (sim.Cycle, coher.PrivState) {
 	ent, loc := e.findDE(addr, v)
 	switch {
 	case loc != locNone && ent.State == coher.DirOwned:
-		return e.readFromOwner(t, c, addr, ent)
+		return e.readFromOwner(t, c, addr, ent, v)
 	case loc != locNone && ent.State == coher.DirShared:
 		return e.readShared(t, c, addr, ent, loc, v)
 	default:

@@ -60,16 +60,16 @@ func (e *Engine) ServeForwarded(t sim.Cycle, addr coher.Addr, exclusive bool, wi
 		next.State = coher.DirShared
 		next.Sharers.Add(ent.Owner)
 		if dirty {
-			e.fillLLCData(t, addr, true)
+			v = e.fillLLCData(t, addr, true, v)
 		}
-		e.storeDE(t, addr, next)
+		e.storeDE(t, addr, next, v)
 		return true, dirty
 	}
 	if loc == locNone {
 		// The entry arrived from home memory (DENF_NACK retry); the
 		// socket concludes the request and re-houses the entry on chip,
 		// and home clears the consumed segment.
-		e.storeDE(t, addr, ent)
+		e.storeDE(t, addr, ent, v)
 	}
 	return true, false
 }

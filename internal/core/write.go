@@ -130,8 +130,8 @@ func (e *Engine) writeNoDE(t1 sim.Cycle, c coher.CoreID, addr coher.Addr, v llc.
 			if de, d0, ok := e.home.GetDE(t1, e.p.Socket, addr); ok {
 				e.home.PutDE(t1, e.p.Socket, addr, coher.Entry{})
 				e.stats.CorruptedFetches++
-				e.storeDE(d0, addr, e.reconcileImprecise(addr, de))
-				return e.redispatchWrite(d0, c, addr)
+				v = e.storeDE(d0, addr, e.reconcileImprecise(addr, de), v)
+				return e.redispatchWrite(d0, c, addr, v)
 			}
 		}
 		e.stats.LLCDataHits++
@@ -147,23 +147,22 @@ func (e *Engine) writeNoDE(t1 sim.Cycle, c coher.CoreID, addr coher.Addr, v llc.
 	}
 	e.stats.LLCMisses++
 	res := e.home.FetchBlock(t1, e.p.Socket, addr, true)
-	if res.DE != nil {
+	if res.DE.Live() {
 		e.stats.CorruptedFetches++
-		e.storeDE(res.Done, addr, e.reconcileImprecise(addr, *res.DE))
-		return e.redispatchWrite(res.Done, c, addr)
+		v = e.storeDE(res.Done, addr, e.reconcileImprecise(addr, res.DE), v)
+		return e.redispatchWrite(res.Done, c, addr, v)
 	}
 	if e.llc.Mode() != llc.EPD {
-		e.fillLLCData(t1, addr, false)
+		v = e.fillLLCData(t1, addr, false, v)
 	}
 	e.record(coher.MsgData)
 	done := res.Done + e.mesh.BankToCore(bank, c)
-	e.storeDE(t1, addr, coher.Entry{State: coher.DirOwned, Owner: c})
-	e.touchLLC(addr)
+	e.storeDETouch(t1, addr, coher.Entry{State: coher.DirOwned, Owner: c}, v)
 	return done
 }
 
-func (e *Engine) redispatchWrite(t sim.Cycle, c coher.CoreID, addr coher.Addr) sim.Cycle {
-	v := e.llc.Probe(addr)
+// redispatchWrite is redispatchRead for GetX.
+func (e *Engine) redispatchWrite(t sim.Cycle, c coher.CoreID, addr coher.Addr, v llc.View) sim.Cycle {
 	ent, loc := e.findDE(addr, v)
 	switch {
 	case loc != locNone && ent.State == coher.DirOwned:
@@ -195,8 +194,7 @@ func (e *Engine) Upgrade(t sim.Cycle, c coher.CoreID, addr coher.Addr) sim.Cycle
 			if de, d0, ok := e.home.GetDE(t1, e.p.Socket, addr); ok {
 				e.home.PutDE(t1, e.p.Socket, addr, coher.Entry{})
 				e.stats.CorruptedFetches++
-				e.storeDE(d0, addr, e.reconcileImprecise(addr, de))
-				v = e.llc.Probe(addr)
+				v = e.storeDE(d0, addr, e.reconcileImprecise(addr, de), v)
 				ent, loc = e.findDE(addr, v)
 				t1 = d0
 			}

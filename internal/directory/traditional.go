@@ -74,11 +74,10 @@ func MustReplacementDisabled(entries, ways int) *Traditional {
 
 // Lookup implements Directory.
 func (d *Traditional) Lookup(addr coher.Addr) (coher.Entry, bool) {
-	_, way, ok := d.arr.Lookup(uint64(addr))
+	set, way, ok := d.arr.Lookup(uint64(addr))
 	if !ok {
 		return coher.Entry{}, false
 	}
-	set := d.arr.SetIndex(uint64(addr))
 	return *d.arr.Payload(set, way), true
 }
 

@@ -134,7 +134,13 @@ type Evicted struct {
 	Addr  coher.Addr
 	Kind  LineKind
 	Dirty bool
-	Entry coher.Entry
+	// Remains reports whether Addr still has a line in its set after the
+	// allocation: its data line or spilled entry in another way, or the
+	// new line itself when the allocation was for Addr. The victim scan
+	// reads this off the set it already holds, so the engine need not
+	// probe the victim's address again.
+	Remains bool
+	Entry   coher.Entry
 }
 
 // LLC is the banked shared cache. Not safe for concurrent use.
@@ -156,19 +162,20 @@ type LLC struct {
 	// victimizes a protected line, so a transaction cannot evict the
 	// block (or the directory entry) it is itself operating on. The
 	// bank/set/tag are precomputed at Protect time so victim selection
-	// can tell loop-invariantly whether a set is pinned at all — almost
-	// every allocation lands in an unpinned set and takes the unfiltered
-	// fast path.
+	// can tell whether a set is pinned with two compares. Every demand
+	// fill of the transaction's own block lands in the pinned set, where
+	// the pin adds the block's ways to the victim scan's skip mask.
 	hasProtected      bool
 	protBank, protSet int
 	protTag           uint64
 
-	// deLines counts resident spilled + fused lines across all banks.
-	// While it is zero — always, for the baseline, and during warmup for
-	// ZeroDEV — a block occupies at most one way and that way is a plain
-	// data line, so Probe takes a first-match scan with no kind
-	// classification.
-	deLines int
+	// deWays marks, per set (index bank*sets+set), the ways holding a
+	// spilled or fused line. In a set whose mask is zero (every set, for
+	// the baseline) a block occupies at most one way and that way is a
+	// plain data line, so Probe takes a first-match scan with no kind
+	// classification; dataLRU's first victim scan skips the mask's ways.
+	deWays []uint64
+	sets   int // sets per bank
 }
 
 // New constructs an LLC with the given total capacity split over banks.
@@ -180,18 +187,17 @@ func New(capacityBytes, ways, banks int, mode Mode, repl Repl) (*LLC, error) {
 	if err != nil {
 		return nil, fmt.Errorf("llc: %w", err)
 	}
-	l := newLLC(banks, mode, repl)
-	for i := 0; i < banks; i++ {
-		l.arrs = append(l.arrs, cache.New[Payload](geo, cache.LRU))
-	}
-	return l, nil
+	return newLLC(banks, geo, mode, repl), nil
 }
 
-func newLLC(banks int, mode Mode, repl Repl) *LLC {
-	l := &LLC{banks: banks, mode: mode, repl: repl}
+func newLLC(banks int, geo cache.Geometry, mode Mode, repl Repl) *LLC {
+	l := &LLC{banks: banks, mode: mode, repl: repl, sets: geo.Sets, deWays: make([]uint64, banks*geo.Sets)}
 	if banks&(banks-1) == 0 {
 		l.bankPow2 = true
 		l.bankShift = uint8(bits.TrailingZeros64(uint64(banks)))
+	}
+	for i := 0; i < banks; i++ {
+		l.arrs = append(l.arrs, cache.New[Payload](geo, cache.LRU))
 	}
 	return l
 }
@@ -201,17 +207,14 @@ func newLLC(banks int, mode Mode, repl Repl) *LLC {
 // away from a fixed set count, so the capacity is no longer a power of
 // two.
 func NewGeometry(setsPerBank, ways, banks int, mode Mode, repl Repl) (*LLC, error) {
-	if setsPerBank <= 0 || setsPerBank&(setsPerBank-1) != 0 {
-		return nil, fmt.Errorf("llc: set count %d not a power of two", setsPerBank)
-	}
-	if ways <= 0 || banks <= 0 {
+	if banks <= 0 {
 		return nil, fmt.Errorf("llc: non-positive geometry")
 	}
-	l := newLLC(banks, mode, repl)
-	for i := 0; i < banks; i++ {
-		l.arrs = append(l.arrs, cache.New[Payload](cache.Geometry{Sets: setsPerBank, Ways: ways}, cache.LRU))
+	geo := cache.Geometry{Sets: setsPerBank, Ways: ways}
+	if err := geo.Validate(); err != nil {
+		return nil, fmt.Errorf("llc: %w", err)
 	}
-	return l, nil
+	return newLLC(banks, geo, mode, repl), nil
 }
 
 // MustNew panics on construction error.
@@ -266,26 +269,31 @@ func (l *LLC) Probe(addr coher.Addr) View {
 	local := l.local(addr)
 	set := arr.SetIndex(local)
 	v := View{Bank: bank, Set: set, DataWay: -1, DEWay: -1}
-	if l.deLines == 0 {
+	de := *l.deMask(bank, set)
+	if de == 0 {
 		v.DataWay = arr.FindWay(set, arr.Tag(local))
 		return v
 	}
 	w0, w1 := arr.FindWays2(set, arr.Tag(local))
 	for _, w := range [2]int{w0, w1} {
-		if w < 0 {
-			continue
-		}
-		switch arr.Payload(set, w).Kind {
-		case KindData:
+		switch {
+		case w < 0:
+		case de&wayBit(w) == 0:
 			v.DataWay = w
-		case KindSpilled:
+		case arr.Payload(set, w).Kind == KindSpilled:
 			v.DEWay = w
-		case KindFused:
+		default: // fused
 			v.DataWay, v.DEWay, v.Fused = w, w, true
 		}
 	}
 	return v
 }
+
+// deMask returns the directory-entry way mask of (bank, set).
+func (l *LLC) deMask(bank, set int) *uint64 { return &l.deWays[bank*l.sets+set] }
+
+// wayBit is way w's bit in a way mask (0 <= w < cache.MaxWays).
+func wayBit(w int) uint64 { return 1 << (uint(w) & 63) }
 
 // Payload returns the payload at a way of the view's set for in-place
 // mutation.
@@ -328,42 +336,34 @@ func (l *LLC) Protect(addr coher.Addr) {
 // Unprotect releases the transaction pin.
 func (l *LLC) Unprotect() { l.hasProtected = false }
 
-// isData filters victim selection to ordinary data lines (the dataLRU
-// first pass). Package-level so the hot path passes a plain function,
-// not a fresh closure.
-func isData(_ int, p *Payload) bool { return p.Kind == KindData }
-
 // victimWay picks a way to reuse in (bank, set) honoring the policy and
 // the transaction pin. evicted reports whether a line was displaced; ev
 // describes it. Returning the eviction by value keeps the per-fill path
 // free of heap allocation (this call used to account for three quarters
 // of all allocations in a run).
+//
+// The policy and the pin become one skip mask for a single typed scan:
+// the pin skips the protected block's ways, and dataLRU first skips the
+// set's spilled and fused lines too, falling back to every unpinned way
+// when only directory-entry lines are left. LRU and SpLRU share the
+// victim rule; SpLRU differs in Touch order.
 func (l *LLC) victimWay(bank, set int) (way int, ev Evicted, evicted bool) {
 	arr := l.arrs[bank]
 	if w, free := arr.FreeWay(set); free {
 		return w, Evicted{}, false
 	}
-	var w int
-	ok := true
-	// The pin names exactly one (bank, set): any other set selects its
-	// victim with no eligibility filtering at all.
-	pinned := l.hasProtected && bank == l.protBank && set == l.protSet
-	switch {
-	case l.repl == DataLRU && !pinned:
-		if w, ok = arr.VictimWhere(set, isData); !ok {
-			w, ok = arr.Victim(set), true
-		}
-	case l.repl == DataLRU:
-		w, ok = arr.VictimWhere(set, func(way int, p *Payload) bool {
-			return p.Kind == KindData && arr.TagAt(set, way) != l.protTag
-		})
-		if !ok {
-			w, ok = arr.VictimWhere(set, func(way int, _ *Payload) bool { return arr.TagAt(set, way) != l.protTag })
-		}
-	case !pinned: // LRU and SpLRU share the victim rule; SpLRU differs in Touch order.
-		w = arr.Victim(set)
-	default:
-		w, ok = arr.VictimWhere(set, func(way int, _ *Payload) bool { return arr.TagAt(set, way) != l.protTag })
+	var pin uint64
+	if l.hasProtected && bank == l.protBank && set == l.protSet {
+		pin = arr.WayMask(set, l.protTag)
+	}
+	de := *l.deMask(bank, set)
+	skip := pin
+	if l.repl == DataLRU {
+		skip |= de
+	}
+	w, ok := arr.VictimExcept(set, skip)
+	if !ok && skip != pin {
+		w, ok = arr.VictimExcept(set, pin)
 	}
 	if !ok {
 		panic("llc: no evictable way (associativity too low for line protection)")
@@ -375,39 +375,59 @@ func (l *LLC) victimWay(bank, set int) (way int, ev Evicted, evicted bool) {
 		Dirty: p.Dirty,
 		Entry: p.Entry,
 	}
+	// The victim's other line in the set can only be its spilled entry
+	// (for a data victim) or its data line (for a spilled victim); a
+	// fused line is its block's only line.
+	tag := arr.TagAt(set, w)
+	switch p.Kind {
+	case KindData:
+		for m := de; m != 0; m &= m - 1 {
+			if arr.TagAt(set, bits.TrailingZeros64(m)) == tag {
+				ev.Remains = true
+				break
+			}
+		}
+	case KindSpilled:
+		ev.Remains = arr.WayMask(set, tag)&^wayBit(w) != 0
+	}
 	return w, ev, true
 }
 
-// InsertData allocates a data line for addr (which must not already have
-// one). evicted reports whether ev describes a displaced line.
-func (l *LLC) InsertData(addr coher.Addr, dirty bool) (ev Evicted, evicted bool) {
-	bank := l.BankOf(addr)
-	arr := l.arrs[bank]
-	local := l.local(addr)
-	set := arr.SetIndex(local)
-	way, ev, evicted := l.victimWay(bank, set)
-	if evicted && ev.Kind != KindData {
-		l.deLines--
+// InsertData allocates a data line for addr in the bank and set of v,
+// the caller's current view of addr, which must show no data line. It
+// returns the view after the fill, DataWay naming the filled way.
+// evicted reports whether ev describes a displaced line.
+func (l *LLC) InsertData(addr coher.Addr, v View, dirty bool) (after View, ev Evicted, evicted bool) {
+	way, ev, evicted := l.victimWay(v.Bank, v.Set)
+	if evicted && way == v.DEWay {
+		// Outside a transaction pin the victim can be addr's own spilled
+		// entry; the new line keeps addr resident.
+		v.DEWay = -1
+		ev.Remains = true
 	}
-	arr.Insert(set, way, local, Payload{Kind: KindData, Dirty: dirty})
-	return ev, evicted
+	*l.deMask(v.Bank, v.Set) &^= wayBit(way)
+	l.arrs[v.Bank].Insert(v.Set, way, l.local(addr), Payload{Kind: KindData, Dirty: dirty})
+	v.DataWay = way
+	return v, ev, evicted
 }
 
-// InsertSpilled allocates a spilled-entry line for addr. The caller must
-// ensure no DE line already exists for addr. evicted reports whether ev
-// describes a displaced line.
-func (l *LLC) InsertSpilled(addr coher.Addr, e coher.Entry) (ev Evicted, evicted bool) {
-	bank := l.BankOf(addr)
-	arr := l.arrs[bank]
-	local := l.local(addr)
-	set := arr.SetIndex(local)
-	way, ev, evicted := l.victimWay(bank, set)
-	if evicted && ev.Kind != KindData {
-		l.deLines--
+// InsertSpilled allocates a spilled-entry line for addr in the bank and
+// set of v, the caller's current view of addr, which must show no
+// directory-entry line. It returns the view after the fill, DEWay
+// naming the filled way. evicted reports whether ev describes a
+// displaced line.
+func (l *LLC) InsertSpilled(addr coher.Addr, v View, e coher.Entry) (after View, ev Evicted, evicted bool) {
+	way, ev, evicted := l.victimWay(v.Bank, v.Set)
+	if evicted && way == v.DataWay {
+		// Outside a transaction pin the victim can be addr's own data
+		// line; the new line keeps addr resident.
+		v.DataWay = -1
+		ev.Remains = true
 	}
-	arr.Insert(set, way, local, Payload{Kind: KindSpilled, Entry: e})
-	l.deLines++
-	return ev, evicted
+	*l.deMask(v.Bank, v.Set) |= wayBit(way)
+	l.arrs[v.Bank].Insert(v.Set, way, l.local(addr), Payload{Kind: KindSpilled, Entry: e})
+	v.DEWay = way
+	return v, ev, evicted
 }
 
 // Fuse converts the data line of v into a fused line carrying e. The
@@ -419,7 +439,7 @@ func (l *LLC) Fuse(v View, e coher.Entry) {
 	}
 	p.Kind = KindFused
 	p.Entry = e
-	l.deLines++
+	*l.deMask(v.Bank, v.Set) |= wayBit(v.DataWay)
 	l.arrs[v.Bank].Touch(v.Set, v.DataWay)
 }
 
@@ -433,7 +453,7 @@ func (l *LLC) Unfuse(v View) {
 	}
 	p.Kind = KindData
 	p.Entry = coher.Entry{}
-	l.deLines--
+	*l.deMask(v.Bank, v.Set) &^= wayBit(v.DataWay)
 }
 
 // DropDE removes the housed directory entry of v: a spilled line is
@@ -447,7 +467,7 @@ func (l *LLC) DropDE(v View) {
 		return
 	}
 	l.arrs[v.Bank].Invalidate(v.Set, v.DEWay)
-	l.deLines--
+	*l.deMask(v.Bank, v.Set) &^= wayBit(v.DEWay)
 }
 
 // InvalidateData removes the data line of v (EPD deallocation on

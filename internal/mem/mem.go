@@ -31,6 +31,10 @@ type Memory struct {
 	// must not change.
 	budget int
 	blocks map[coher.Addr]*BlockMeta
+	// spare holds the metadata records gc retired, zeroed but keeping
+	// their Segments storage, so a block's next directory-entry
+	// writeback reuses one instead of allocating.
+	spare []*BlockMeta
 
 	highWater    int
 	coarseWrites uint64
@@ -124,7 +128,12 @@ func (m *Memory) SegmentBudget() int { return m.budget }
 func (m *Memory) meta(addr coher.Addr) *BlockMeta {
 	b := m.blocks[addr]
 	if b == nil {
-		b = &BlockMeta{}
+		if n := len(m.spare); n > 0 {
+			b = m.spare[n-1]
+			m.spare = m.spare[:n-1]
+		} else {
+			b = &BlockMeta{}
+		}
 		m.blocks[addr] = b
 		if len(m.blocks) > m.highWater {
 			m.highWater = len(m.blocks)
@@ -223,7 +232,7 @@ func (m *Memory) ClearSegment(addr coher.Addr, socket int) {
 // that flowed through to DRAM).
 func (m *Memory) Restore(addr coher.Addr) {
 	if b := m.blocks[addr]; b != nil {
-		b.Segments = nil
+		clear(b.Segments)
 		b.DataLost = false
 		m.gc(addr, b)
 	}
@@ -269,6 +278,8 @@ func (m *Memory) gc(addr coher.Addr, b *BlockMeta) {
 		}
 	}
 	delete(m.blocks, addr)
+	*b = BlockMeta{Segments: b.Segments}
+	m.spare = append(m.spare, b)
 }
 
 // CorruptedCount returns the number of blocks currently corrupted, used

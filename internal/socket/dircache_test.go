@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/coher"
 	"repro/internal/config"
 	"repro/internal/core"
@@ -151,6 +152,29 @@ func TestNewValidatesSocketCount(t *testing.T) {
 		sys.Run()
 		if err := sys.CheckInvariants(); err != nil {
 			t.Fatalf("%d sockets: invariants: %v", tc.sockets, err)
+		}
+	}
+}
+
+// TestNewValidatesWays pins the associativity bound for both caches the
+// socket layer builds: the directory cache and each socket's LLC accept
+// 64 ways and refuse 65 with cache.ErrTooManyWays.
+func TestNewValidatesWays(t *testing.T) {
+	pre := config.TableI(32)
+	for _, tc := range []struct {
+		ways int
+		ok   bool
+	}{{64, true}, {65, false}} {
+		spec := pre.ZeroDEV(0, core.FPSS, llc.DataLRU, llc.NonInclusive)
+		streams := workload.Threads(workload.MustGet("swaptions"), 2*spec.Cores, 10, 32, 1)
+		p := DefaultParams(2, 4*tc.ways)
+		p.DirCacheWays = tc.ways
+		if _, err := New(p, spec, streams); tc.ok != (err == nil) || (!tc.ok && !errors.Is(err, cache.ErrTooManyWays)) {
+			t.Errorf("%d-way directory cache: err = %v", tc.ways, err)
+		}
+		spec.LLCSets, spec.LLCWays = 4, tc.ways
+		if _, err := New(DefaultParams(2, 64), spec, streams); tc.ok != (err == nil) || (!tc.ok && !errors.Is(err, cache.ErrTooManyWays)) {
+			t.Errorf("%d-way LLC: err = %v", tc.ways, err)
 		}
 	}
 }

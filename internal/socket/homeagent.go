@@ -114,9 +114,14 @@ func (sys *System) fillDirCache(t sim.Cycle, addr coher.Addr, e coher.SocketEntr
 	set := sys.dirCache.SetIndex(uint64(addr))
 	way, free := sys.dirCache.FreeWay(set)
 	if !free {
-		w, ok := sys.dirCache.VictimWhere(set, func(_ int, p *coher.SocketEntry) bool {
-			return p.State == coher.SockOwned
-		})
+		// The set is full: the first scan skips every non-owned way.
+		var shared uint64
+		for w := 0; w < sys.dirCache.Geometry().Ways; w++ {
+			if sys.dirCache.Payload(set, w).State != coher.SockOwned {
+				shared |= 1 << w
+			}
+		}
+		w, ok := sys.dirCache.VictimExcept(set, shared)
 		if !ok {
 			w = sys.dirCache.Victim(set)
 		}
@@ -158,7 +163,7 @@ func (h *homeAgent) FetchBlock(t sim.Cycle, s int, addr coher.Addr, exclusive bo
 		}
 		done := sys.dram.Read(t1, uint64(addr), dram.KindDE) + 1 + h.inter(home, s)
 		sys.mem.ClearSegment(addr, s)
-		return core.FetchResult{Done: done, DE: &seg}
+		return core.FetchResult{Done: done, DE: seg}
 	}
 
 	switch {

@@ -138,9 +138,12 @@ func New(p Params, spec core.SystemSpec, streams []cpu.Stream) (*System, error) 
 	if len(streams) != p.Sockets*spec.Cores {
 		return nil, fmt.Errorf("socket: need %d streams, got %d", p.Sockets*spec.Cores, len(streams))
 	}
-	sets := p.DirCacheEntries / p.DirCacheWays
-	if sets <= 0 || sets&(sets-1) != 0 {
-		return nil, fmt.Errorf("socket: directory cache sets %d not a power of two", sets)
+	if p.DirCacheWays <= 0 {
+		return nil, fmt.Errorf("socket: directory cache has %d ways", p.DirCacheWays)
+	}
+	dirGeo := cache.Geometry{Sets: p.DirCacheEntries / p.DirCacheWays, Ways: p.DirCacheWays}
+	if err := dirGeo.Validate(); err != nil {
+		return nil, fmt.Errorf("socket: directory cache: %w", err)
 	}
 	if p.HomeGroups > 1 && p.Sockets%p.HomeGroups != 0 {
 		return nil, fmt.Errorf("socket: %d home groups do not divide %d sockets", p.HomeGroups, p.Sockets)
@@ -149,7 +152,7 @@ func New(p Params, spec core.SystemSpec, streams []cpu.Stream) (*System, error) 
 		P:        p,
 		mem:      mem.MustNew(p.Sockets, spec.Cores),
 		dram:     dram.MustNew(spec.DRAM),
-		dirCache: cache.New[coher.SocketEntry](cache.Geometry{Sets: sets, Ways: p.DirCacheWays}, cache.NRU),
+		dirCache: cache.New[coher.SocketEntry](dirGeo, cache.NRU),
 	}
 	for s := 0; s < p.Sockets; s++ {
 		l, err := buildLLC(spec)
